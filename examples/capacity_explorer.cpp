@@ -24,13 +24,19 @@ using namespace unimem;
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
+    CliArgs args(argc, argv, "usage: capacity_explorer [flags]",
+                 {{"benchmark", "NAME", "registry benchmark (default pcr)"},
+                  {"scale", "F", "workload scale (default 0.5)"},
+                  {"jobs", "N", "sweep workers (default: all cores)"},
+                  {"min-kb", "N", "smallest capacity (default 96)"},
+                  {"max-kb", "N", "largest capacity (default 512)"},
+                  {"step-kb", "N", "capacity step (default 32)"}});
     std::string name = args.getString("benchmark", "pcr");
     double scale = args.getDouble("scale", 0.5);
-    u32 jobs = static_cast<u32>(args.getInt("jobs", 0));
-    u64 min_kb = static_cast<u64>(args.getInt("min-kb", 96));
-    u64 max_kb = static_cast<u64>(args.getInt("max-kb", 512));
-    u64 step_kb = static_cast<u64>(args.getInt("step-kb", 32));
+    u32 jobs = args.getCount("jobs", 0);
+    u64 min_kb = args.getCount("min-kb", 96);
+    u64 max_kb = args.getCount("max-kb", 512);
+    u64 step_kb = args.getCount("step-kb", 32);
 
     if (findBenchmark(name) == nullptr) {
         std::cerr << "unknown benchmark '" << name << "'\n";

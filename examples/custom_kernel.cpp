@@ -99,8 +99,10 @@ class HistogramKernel : public SyntheticKernel
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
-    u32 bins = static_cast<u32>(args.getInt("bins", 256));
+    CliArgs args(argc, argv, "usage: custom_kernel [flags]",
+                 {{"bins", "N", "histogram bins (default 256)"},
+                  {"scale", "F", "workload scale (default 1.0)"}});
+    u32 bins = args.getCount("bins", 256);
     double scale = args.getDouble("scale", 1.0);
 
     HistogramKernel kernel(bins, scale);

@@ -21,10 +21,12 @@ using namespace unimem;
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
+    CliArgs args(argc, argv, "usage: multi_kernel_app [flags]",
+                 {{"scale", "F", "workload scale (default 0.35)"},
+                  {"capacity-kb", "N", "unified capacity (default 384)"},
+                  {"write-back", "", "write-back instead of write-through"}});
     double scale = args.getDouble("scale", 0.35);
-    u64 capacity =
-        static_cast<u64>(args.getInt("capacity-kb", 384)) * 1024;
+    u64 capacity = u64{args.getCount("capacity-kb", 384)} * 1024;
     WritePolicy policy = args.getBool("write-back", false)
                              ? WritePolicy::WriteBack
                              : WritePolicy::WriteThrough;

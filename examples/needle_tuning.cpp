@@ -57,7 +57,8 @@ runNeedle(u32 bf, double scale, std::optional<u64> unifiedCapacity)
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
+    CliArgs args(argc, argv, "usage: needle_tuning [flags]",
+                 {{"scale", "F", "workload scale (default 0.5)"}});
     double scale = args.getDouble("scale", 0.5);
 
     std::cout << "needle blocking-factor tuning (paper Section 6.5)\n\n";

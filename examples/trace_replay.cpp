@@ -26,7 +26,10 @@ using namespace unimem;
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
+    CliArgs args(argc, argv, "usage: trace_replay [flags]",
+                 {{"benchmark", "NAME", "registry benchmark (default sgemv)"},
+                  {"scale", "F", "workload scale (default 0.25)"},
+                  {"file", "PATH", "trace file (default /tmp/unimem.trace)"}});
     std::string name = args.getString("benchmark", "sgemv");
     double scale = args.getDouble("scale", 0.25);
     std::string path = args.getString("file", "/tmp/unimem.trace");

@@ -133,7 +133,7 @@ if [[ -n "$compare_ref" ]]; then
     # harness into the reference tree (it degrades gracefully on
     # commits that predate the result cache).
     cp bench/perf_harness.cc "$worktree/bench/perf_harness.cc"
-    if ! grep -q 'unimem_bench(perf_harness' "$worktree/bench/CMakeLists.txt"
+    if ! grep -q 'perf_harness' "$worktree/bench/CMakeLists.txt"
     then
         echo 'unimem_bench(perf_harness perf_harness.cc)' \
             >> "$worktree/bench/CMakeLists.txt"

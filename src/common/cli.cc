@@ -1,10 +1,20 @@
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "common/log.hh"
 
 namespace unimem {
+
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 const std::string& usage,
+                 const std::vector<CliFlag>& flags)
+    : CliArgs(argc, argv)
+{
+    accept(usage, flags);
+}
 
 CliArgs::CliArgs(int argc, const char* const* argv)
 {
@@ -21,6 +31,34 @@ CliArgs::CliArgs(int argc, const char* const* argv)
             positional_.push_back(arg);
         }
     }
+}
+
+void
+CliArgs::accept(const std::string& usage,
+                const std::vector<CliFlag>& flags) const
+{
+    if (has("help")) {
+        std::cout << usage << "\n";
+        if (!flags.empty())
+            std::cout << "\nflags:\n";
+        for (const CliFlag& f : flags) {
+            std::string spelled = std::string("--") + f.name;
+            if (*f.value != '\0')
+                spelled += std::string("=") + f.value;
+            spelled.resize(std::max<size_t>(spelled.size() + 1, 22), ' ');
+            std::cout << "  " << spelled << f.help << "\n";
+        }
+        std::exit(0);
+    }
+    std::string unknown;
+    for (const auto& entry : flags_) {
+        const std::string& name = entry.first;
+        if (std::none_of(flags.begin(), flags.end(),
+                         [&](const CliFlag& f) { return name == f.name; }))
+            unknown += (unknown.empty() ? "--" : ", --") + name;
+    }
+    if (!unknown.empty())
+        fatal("unknown flag %s (see --help)", unknown.c_str());
 }
 
 bool
@@ -48,6 +86,16 @@ CliArgs::getInt(const std::string& name, long dflt) const
         fatal("flag --%s expects an integer, got '%s'", name.c_str(),
               it->second.c_str());
     return v;
+}
+
+u32
+CliArgs::getCount(const std::string& name, u32 dflt) const
+{
+    long v = getInt(name, dflt);
+    if (v < 0 || static_cast<unsigned long>(v) > 0xffffffffUL)
+        fatal("flag --%s expects a non-negative count, got '%s'",
+              name.c_str(), getString(name, "").c_str());
+    return static_cast<u32>(v);
 }
 
 double

@@ -13,7 +13,8 @@
  * to the full computation; a hit is bit-identical by construction
  * because the key captures every input the models read.
  *
- * Two structures, both per-SM (thread-confined, no locks):
+ * Two structures, both per-SM and thread-confined (only the recycling
+ * of the second's slot slab crosses threads, see homeSlab):
  *  - a 256-entry direct table for instructions that touch no data banks
  *    (ALU/SFU/texture), whose outcome depends only on the 8-bit operand
  *    bank signature;
@@ -30,6 +31,9 @@
 #define UNIMEM_MEM_FOOTPRINT_CACHE_HH
 
 #include <array>
+#include <atomic>
+#include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "arch/warp_instr.hh"
@@ -83,7 +87,7 @@ class FootprintCache
         u8 accessBytes = 0;
         u8 sig = 0;
         u8 numLines = kLinesUnknown;
-        /** Valid iff equal to the owning cache's epoch (see slabPool). */
+        /** Valid iff equal to the owning cache's epoch (see homeSlab). */
         u64 gen = 0;
         Outcome outcome{};
         std::array<CoalescedAccess, kMaxInlineLines> lines{};
@@ -92,16 +96,23 @@ class FootprintCache
     FootprintCache() : enabled_(footprintCacheEnabledByEnv()) {}
 
     /**
-     * Return the slot slab to the thread-local pool instead of freeing
-     * it. The next cache instance that inherits the slab claims a fresh
-     * epoch, which invalidates every inherited entry without touching
-     * the ~3 MB of slot memory — constructing an SM model no longer
-     * pays a multi-megabyte zero-fill per simulation run.
+     * Recycle the slot slab instead of freeing it. The next cache
+     * instance that inherits the slab claims a fresh epoch, which
+     * invalidates every inherited entry without touching the ~3 MB of
+     * slot memory — constructing an SM model no longer pays a
+     * multi-megabyte zero-fill per simulation run.
      */
     ~FootprintCache()
     {
-        if (!mem_.empty())
-            slabPool().push_back(std::move(mem_));
+        if (mem_.empty())
+            return;
+        if (homeSlab().empty()) {
+            homeSlab().swap(mem_);
+            return;
+        }
+        SharedPool& pool = sharedPool();
+        std::lock_guard<std::mutex> lock(pool.mutex);
+        pool.slabs.push_back(std::move(mem_));
     }
 
     FootprintCache(const FootprintCache&) = delete;
@@ -195,6 +206,15 @@ class FootprintCache
     void noteLineReplay() { ++stats_.lineReplays; }
     void noteLineRecompute() { ++stats_.lineRecomputes; }
 
+    /** Retired slabs the calling thread could reuse (tests: bounded). */
+    static size_t
+    pooledSlabs()
+    {
+        SharedPool& pool = sharedPool();
+        std::lock_guard<std::mutex> lock(pool.mutex);
+        return pool.slabs.size() + (homeSlab().empty() ? 0 : 1);
+    }
+
   private:
     struct ComputeEntry
     {
@@ -213,14 +233,18 @@ class FootprintCache
         // carry makes all inherited entries misses, so a recycled cache
         // is observably identical to a zero-initialized one.
         if (mem_.empty()) {
-            auto& pool = slabPool();
-            if (!pool.empty()) {
-                mem_ = std::move(pool.back());
-                pool.pop_back();
-            } else {
-                mem_.resize(kMemSlots);
+            mem_.swap(homeSlab());
+            if (mem_.empty()) {
+                SharedPool& pool = sharedPool();
+                std::lock_guard<std::mutex> lock(pool.mutex);
+                if (!pool.slabs.empty()) {
+                    mem_ = std::move(pool.slabs.back());
+                    pool.slabs.pop_back();
+                }
             }
-            memGen_ = ++epochCounter();
+            if (mem_.empty())
+                mem_.resize(kMemSlots);
+            memGen_ = claimEpoch();
         }
         // Fold a sample of lanes rather than all 32: the slot index
         // only steers collision rate (the full-key compare in findMem
@@ -248,25 +272,44 @@ class FootprintCache
     }
 
     /**
-     * Thread-local free list of retired slot slabs. Thread-local (not
-     * global) so chip co-simulation workers never share slabs: each
-     * worker's acquire/release stays lock-free, and a worker's epoch
-     * sequence depends only on its own cache lifetimes, keeping the
-     * simulation bitwise independent of the worker count.
+     * Slab recycling. A thread keeps the last slab it retired as its
+     * home slab, so a sweep worker runs point after point on one slab
+     * that stays in its core's cache. A slab retired on a thread whose
+     * home is taken goes to one process-wide pool: a chip's bound-phase
+     * workers acquire the SMs' slabs and the main thread retires them,
+     * and only a pool every thread draws from stays bounded (by the peak
+     * number of live caches, plus one home slab per thread) across
+     * repeated chip runs. The epoch counter is process-wide too, so a
+     * claimed epoch is above every gen stamp any recycled slab carries
+     * (fresh slabs stamp 0) whichever thread stamped it; which slab a
+     * cache inherits never changes its hits, so results stay bitwise
+     * independent of the worker count.
      */
-    static std::vector<std::vector<MemEntry>>&
-    slabPool()
+    static std::vector<MemEntry>&
+    homeSlab()
     {
-        static thread_local std::vector<std::vector<MemEntry>> pool;
-        return pool;
+        static thread_local std::vector<MemEntry> slab;
+        return slab;
     }
 
-    /** Monotonic epoch source; fresh slabs stamp entries with gen 0. */
-    static u64&
-    epochCounter()
+    static u64
+    claimEpoch()
     {
-        static thread_local u64 epoch = 0;
-        return epoch;
+        static std::atomic<u64> epoch{0};
+        return ++epoch;
+    }
+
+    struct SharedPool
+    {
+        std::mutex mutex;
+        std::vector<std::vector<MemEntry>> slabs;
+    };
+
+    static SharedPool&
+    sharedPool()
+    {
+        static SharedPool pool;
+        return pool;
     }
 
     std::array<ComputeEntry, 256> compute_{};

@@ -4,6 +4,7 @@
  * container, table formatting, and CLI parsing.
  */
 
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -129,6 +130,55 @@ TEST(Cli, BooleanSpellings)
     EXPECT_TRUE(args.getBool("a", false));
     EXPECT_FALSE(args.getBool("b", true));
     EXPECT_TRUE(args.getBool("c", false));
+}
+
+const std::vector<CliFlag> kDeclared = {
+    {"scale", "F", "workload scale"},
+    {"design", "NAME", "memory design"},
+    {"jobs", "N", "sweep workers"},
+    {"chip-jobs", "N", "bound-phase workers"}};
+
+TEST(Cli, DeclaredFlagsParse)
+{
+    const char* argv[] = {"prog", "run", "vectoradd", "--scale=0.01",
+                          "--design=unified", "--jobs=4"};
+    CliArgs args(6, argv, "usage: prog", kDeclared);
+    EXPECT_DOUBLE_EQ(args.getDouble("scale", 0.5), 0.01);
+    EXPECT_EQ(args.getString("design", ""), "unified");
+    EXPECT_EQ(args.getCount("jobs", 0), 4u);
+    EXPECT_EQ(args.getCount("chip-jobs", 7), 7u);
+}
+
+TEST(Cli, UnknownFlagsAreFatalAndNamed)
+{
+    const char* argv[] = {"prog", "run", "vectoradd", "--sacle=0.01",
+                          "--desing=unified"};
+    EXPECT_EXIT(CliArgs(5, argv, "usage: prog", kDeclared),
+                ::testing::ExitedWithCode(1),
+                "unknown flag --desing, --sacle");
+}
+
+TEST(Cli, HelpExitsZeroBeforeAnyWork)
+{
+    const char* argv[] = {"prog", "--help"};
+    EXPECT_EXIT(
+        {
+            CliArgs args(2, argv, "usage: prog", kDeclared);
+            std::exit(3); // reached only if --help did not exit
+        },
+        ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Cli, NegativeCountsAreFatal)
+{
+    const char* jobs[] = {"prog", "--jobs=-1"};
+    CliArgs a(2, jobs, "usage: prog", kDeclared);
+    EXPECT_EXIT(a.getCount("jobs", 0), ::testing::ExitedWithCode(1),
+                "--jobs expects a non-negative count, got '-1'");
+    const char* chipJobs[] = {"prog", "--chip-jobs=-4"};
+    CliArgs b(2, chipJobs, "usage: prog", kDeclared);
+    EXPECT_EXIT(b.getCount("chip-jobs", 0), ::testing::ExitedWithCode(1),
+                "--chip-jobs expects a non-negative count, got '-4'");
 }
 
 TEST(Log, StrprintfFormats)

@@ -96,6 +96,14 @@ struct Fig9Band
     double hi;
 };
 
+// Without a printer gtest dumps the struct's bytes, name pointer included,
+// so every test name carried an ASLR-dependent address.
+void PrintTo(const Fig9Band& band, std::ostream* os)
+{
+    *os << "{\"" << band.name << "\", " << band.scale << ", " << band.lo
+        << ", " << band.hi << "}";
+}
+
 class Fig9Shape : public ::testing::TestWithParam<Fig9Band>
 {
 };

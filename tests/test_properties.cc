@@ -18,8 +18,11 @@ constexpr double kScale = 0.1;
 
 // ---- Cache capacity sweep: DRAM traffic is non-increasing ------------
 
+// The sweeps name their benchmark with a std::string, not a const char*:
+// gtest prints a pointer inside a tuple with its address, which put an
+// ASLR-dependent value into every test name.
 class CacheSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, u64>>
+    : public ::testing::TestWithParam<std::tuple<std::string, u64>>
 {
 };
 
@@ -47,14 +50,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          "srad"),
                        ::testing::Values(32_KB, 64_KB, 128_KB)),
     [](const auto& info) {
-        return std::string(std::get<0>(info.param)) + "_" +
+        return std::get<0>(info.param) + "_" +
                std::to_string(std::get<1>(info.param) / 1024) + "K";
     });
 
 // ---- Thread count sweep: occupancy consistency ------------------------
 
 class ThreadSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, u32>>
+    : public ::testing::TestWithParam<std::tuple<std::string, u32>>
 {
 };
 
@@ -90,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "bfs"),
                        ::testing::Values(256u, 512u, 1024u)),
     [](const auto& info) {
-        return std::string(std::get<0>(info.param)) + "_" +
+        return std::get<0>(info.param) + "_" +
                std::to_string(std::get<1>(info.param));
     });
 

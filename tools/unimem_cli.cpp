@@ -2,7 +2,7 @@
  * @file
  * Command-line driver for the unimem simulator.
  *
- * Subcommands:
+ * Subcommands (`unimem_cli <cmd> --help` lists each one's flags):
  *   list                        all registered benchmarks with metadata
  *   allocate <bench>            Section 4.5 allocation decision at a
  *                               given capacity (no simulation)
@@ -10,29 +10,14 @@
  *   sweep <bench>               capacity/cache/thread sweeps
  *   chip <bench>                chip-level co-simulation (--sms=N)
  *   trace <bench>               dump the warp trace to a file
- *
- * Common flags:
- *   --design=partitioned|unified|fermi   (default partitioned)
- *   --capacity-kb=N     unified capacity   (default 384)
- *   --scale=F           workload scale     (default 0.5)
- *   --jobs=N            sweep worker threads (default: UNIMEM_JOBS or
- *                       all hardware threads; sweeps only)
- *   --chip-jobs=N       chip bound-phase workers (default:
- *                       UNIMEM_CHIP_JOBS or all hardware threads,
- *                       capped to --sms; results are identical for
- *                       any value; chip only)
- *   --quantum=N         chip co-simulation quantum in cycles
- *                       (default 64; chip only)
- *   --threads=N         thread limit
- *   --regs=N            registers/thread override
- *   --write-back        write-back cache ablation
- *   --no-rf-hierarchy   disable the ORF/LRF
- *   --dump-stats        print the full StatSet after a run
+ *   reproduce <exhibit|all>     regenerate paper tables and figures
+ *                               (--list names them)
  *
  * Examples:
  *   unimem_cli run needle --design=unified
  *   unimem_cli sweep pcr --what=cache
  *   unimem_cli trace sgemv --out=/tmp/sgemv.trace
+ *   unimem_cli reproduce fig9_benefit --jobs=4
  */
 
 #include <fstream>
@@ -47,12 +32,14 @@
 #include "sim/sweep.hh"
 #include "sm/chip.hh"
 
+#include "reproduce.hh"
+
 using namespace unimem;
 
 namespace {
 
 int
-cmdList()
+cmdList(const CliArgs&)
 {
     Table t({"name", "category", "benefits", "regs/thread",
              "shared B/thread", "paper dram 0/64K/256K"});
@@ -81,16 +68,14 @@ specFromArgs(const CliArgs& args)
     } else if (design == "fermi") {
         spec.design = DesignKind::FermiLike;
         spec.partition = fermiLikeOptions(
-            static_cast<u64>(args.getInt("capacity-kb", 384)) *
+            u64{args.getCount("capacity-kb", 384)} *
             1024)[args.getInt("fermi-option", 0) != 0 ? 1 : 0];
     } else {
         fatal("unknown design '%s'", design.c_str());
     }
-    spec.unifiedCapacity =
-        static_cast<u64>(args.getInt("capacity-kb", 384)) * 1024;
-    spec.threadLimit =
-        static_cast<u32>(args.getInt("threads", kMaxThreadsPerSm));
-    spec.regsOverride = static_cast<u32>(args.getInt("regs", 0));
+    spec.unifiedCapacity = u64{args.getCount("capacity-kb", 384)} * 1024;
+    spec.threadLimit = args.getCount("threads", kMaxThreadsPerSm);
+    spec.regsOverride = args.getCount("regs", 0);
     spec.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
     spec.conflictPenalties = !args.getBool("no-conflicts", false);
     spec.aggressiveUnified = args.getBool("aggressive-unified", false);
@@ -178,7 +163,7 @@ cmdSweep(const CliArgs& args)
     std::string name = requireBenchmark(args);
     double scale = args.getDouble("scale", 0.5);
     std::string what = args.getString("what", "capacity");
-    u32 jobs = static_cast<u32>(args.getInt("jobs", 0));
+    u32 jobs = args.getCount("jobs", 0);
 
     // Collect the sweep points (infeasible ones keep a table row but
     // are not submitted), then run them all through the pool.
@@ -242,7 +227,7 @@ cmdChip(const CliArgs& args)
 {
     std::string name = requireBenchmark(args);
     double scale = args.getDouble("scale", 0.35);
-    u32 sms = static_cast<u32>(args.getInt("sms", 8));
+    u32 sms = args.getCount("sms", 8);
 
     auto k = createBenchmark(name, scale);
     RunSpec spec = specFromArgs(args);
@@ -252,10 +237,9 @@ cmdChip(const CliArgs& args)
 
     ChipConfig cc;
     cc.numSms = sms;
-    cc.chipDramBytesPerCycle =
-        static_cast<u32>(args.getInt("chip-bw", sms * 8));
-    cc.workers = static_cast<u32>(args.getInt("chip-jobs", 0));
-    cc.quantum = static_cast<Cycle>(args.getInt("quantum", 64));
+    cc.chipDramBytesPerCycle = args.getCount("chip-bw", sms * 8);
+    cc.workers = args.getCount("chip-jobs", 0);
+    cc.quantum = args.getCount("quantum", 64);
     cc.sm.design = spec.design == DesignKind::FermiLike
                        ? DesignKind::Partitioned
                        : spec.design;
@@ -316,6 +300,113 @@ cmdTrace(const CliArgs& args)
     return 0;
 }
 
+int
+cmdReproduce(const CliArgs& args)
+{
+    if (args.getBool("list", false)) {
+        listExhibits(std::cout);
+        return 0;
+    }
+    if (args.positional().size() < 2)
+        fatal("missing exhibit name (try 'unimem_cli reproduce --list')");
+    ExhibitConfig cfg;
+    cfg.scale = args.getDouble("scale", 0.0);
+    if (args.has("scale") && cfg.scale <= 0.0)
+        fatal("flag --scale expects a positive number, got '%s'",
+              args.getString("scale", "").c_str());
+    cfg.jobs = args.getCount("jobs", cfg.jobs);
+    cfg.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
+    cfg.sms = args.getCount("sms", cfg.sms);
+    cfg.chipJobs = args.getCount("chip-jobs", cfg.chipJobs);
+    cfg.quantum = args.getCount("quantum", static_cast<u32>(cfg.quantum));
+    reproduce(args.positional()[1], cfg, std::cout);
+    return 0;
+}
+
+/** RunSpec flags (specFromArgs) shared by run, sweep and chip. */
+std::vector<CliFlag>
+withSpecFlags(std::vector<CliFlag> flags)
+{
+    flags.insert(
+        flags.end(),
+        {{"design", "partitioned|unified|fermi",
+          "memory design (default partitioned)"},
+         {"capacity-kb", "N", "unified / Fermi-like capacity (default 384)"},
+         {"fermi-option", "0|1", "Fermi-like split: 0 = 96/32, 1 = 32/96 KB"},
+         {"threads", "N", "thread limit (default: maximum)"},
+         {"regs", "N", "registers/thread override"},
+         {"no-rf-hierarchy", "", "disable the ORF/LRF"},
+         {"no-conflicts", "", "disable bank-conflict penalties"},
+         {"aggressive-unified", "",
+          "unified multi-bank-per-cluster scatter/gather"},
+         {"write-back", "", "write-back cache ablation"}});
+    return flags;
+}
+
+/** One subcommand: its usage line, declared flags and handler. */
+struct Command
+{
+    const char* name;
+    const char* usage;
+    std::vector<CliFlag> flags;
+    int (*run)(const CliArgs&);
+};
+
+const std::vector<Command>&
+commands()
+{
+    static const CliFlag scale{"scale", "F", "workload scale (default 0.5)"};
+    static const std::vector<Command> cmds = {
+        {"list", "usage: unimem_cli list", {}, cmdList},
+        {"allocate", "usage: unimem_cli allocate <benchmark> [flags]",
+         {scale}, cmdAllocate},
+        {"run", "usage: unimem_cli run <benchmark> [flags]",
+         withSpecFlags(
+             {scale,
+              {"compare", "", "also compare against the partitioned baseline"},
+              {"dump-stats", "", "print the full StatSet after the run"}}),
+         cmdRun},
+        {"sweep", "usage: unimem_cli sweep <benchmark> [flags]",
+         withSpecFlags(
+             {scale,
+              {"what", "capacity|cache|threads",
+               "swept axis (default capacity)"},
+              {"jobs", "N",
+               "sweep workers (default: UNIMEM_JOBS or all cores)"}}),
+         cmdSweep},
+        {"chip", "usage: unimem_cli chip <benchmark> [flags]",
+         withSpecFlags(
+             {{"scale", "F", "workload scale (default 0.35)"},
+              {"sms", "N", "SMs on the chip (default 8)"},
+              {"chip-bw", "N", "chip DRAM bytes/cycle (default 8 per SM)"},
+              {"chip-jobs", "N",
+               "bound-phase workers (default: UNIMEM_CHIP_JOBS or all cores, "
+               "capped to --sms; results are identical for any value)"},
+              {"quantum", "N",
+               "co-simulation quantum in cycles (default 64)"}}),
+         cmdChip},
+        {"trace", "usage: unimem_cli trace <benchmark> [flags]",
+         {scale, {"out", "FILE", "output path (default <benchmark>.trace)"}},
+         cmdTrace},
+        {"reproduce",
+         "usage: unimem_cli reproduce <exhibit|all> [flags]\n"
+         "       unimem_cli reproduce --list",
+         {{"list", "", "list the exhibits with their default scales"},
+          {"scale", "F", "workload scale (default: each exhibit's own)"},
+          {"jobs", "N", "sweep workers (default: UNIMEM_JOBS or all cores)"},
+          {"no-rf-hierarchy", "",
+           "fig7/fig9 ablation: both designs without the ORF/LRF"},
+          {"sms", "N", "ext_chip_validation: SMs on the chip (default 8)"},
+          {"chip-jobs", "N",
+           "ext_chip_validation: bound-phase workers (default: "
+           "UNIMEM_CHIP_JOBS or all cores)"},
+          {"quantum", "N",
+           "ext_chip_validation: quantum in cycles (default 64)"}},
+         cmdReproduce},
+    };
+    return cmds;
+}
+
 } // namespace
 
 int
@@ -323,23 +414,20 @@ main(int argc, char** argv)
 {
     CliArgs args(argc, argv);
     if (args.positional().empty()) {
-        std::cerr << "usage: unimem_cli <list|allocate|run|sweep|chip|trace> "
-                     "[benchmark] [flags]\n(see the file header for "
-                     "flags)\n";
+        const char* usage =
+            "usage: unimem_cli "
+            "<list|allocate|run|sweep|chip|trace|reproduce> [name] "
+            "[flags]\n(unimem_cli <command> --help lists its flags)";
+        args.accept(usage, {});
+        std::cerr << usage << "\n";
         return 1;
     }
-    const std::string& cmd = args.positional()[0];
-    if (cmd == "list")
-        return cmdList();
-    if (cmd == "allocate")
-        return cmdAllocate(args);
-    if (cmd == "run")
-        return cmdRun(args);
-    if (cmd == "sweep")
-        return cmdSweep(args);
-    if (cmd == "chip")
-        return cmdChip(args);
-    if (cmd == "trace")
-        return cmdTrace(args);
-    fatal("unknown command '%s'", cmd.c_str());
+    const std::string& name = args.positional()[0];
+    for (const Command& cmd : commands()) {
+        if (name == cmd.name) {
+            args.accept(cmd.usage, cmd.flags);
+            return cmd.run(args);
+        }
+    }
+    fatal("unknown command '%s'", name.c_str());
 }

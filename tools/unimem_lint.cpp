@@ -10,23 +10,10 @@
  * declared KernelParams fails the build instead of silently corrupting
  * figures.
  *
- * Flags:
- *   --kernel=a,b,c   lint only these benchmarks (default: all 26)
- *   --scale=F        workload scale (default 0.5, same as unimem_cli)
- *   --jobs=N         sweep workers (default: UNIMEM_JOBS or all cores)
- *   --passes=a,b     run these analysis passes (default: default set)
- *   --all-passes     run every registered pass, including the
- *                    simulation-backed cross-checks
- *   --list-passes    print the pass registry and exit
- *   --Werror         treat warnings as errors
- *   --max-instrs=N   trace-prefix bound per sampled warp (default 4096)
- *   --max-diags=N    global cap on stored findings per kernel
- *   --json           machine-readable report on stdout instead of the
- *                    table (diagnostics and per-pass stats included;
- *                    the summary line goes to stderr)
- *   --quiet          suppress per-diagnostic lines (summary table only)
+ * `unimem_lint --help` lists the flags.
  *
- * Exit status: 0 clean, 1 warnings only, 2 lint errors, 3 usage error.
+ * Exit status: 0 clean, 1 warnings only (or a fatal() flag error), 2
+ * lint errors, 3 stray positional argument.
  */
 
 #include <iostream>
@@ -167,12 +154,26 @@ printJson(std::ostream& os, const std::vector<LintReport>& reports,
 int
 main(int argc, char** argv)
 {
-    CliArgs args(argc, argv);
+    const char* usage = "usage: unimem_lint [flags]";
+    CliArgs args(
+        argc, argv, usage,
+        {{"kernel", "a,b,c", "lint only these benchmarks (default: all 26)"},
+         {"scale", "F", "workload scale (default 0.5, as unimem_cli)"},
+         {"jobs", "N", "sweep workers (default: UNIMEM_JOBS or all cores)"},
+         {"passes", "a,b", "run these analysis passes (default: default set)"},
+         {"all-passes", "",
+          "run every registered pass, including the simulation-backed "
+          "cross-checks"},
+         {"list-passes", "", "print the pass registry and exit"},
+         {"Werror", "", "treat warnings as errors"},
+         {"max-instrs", "N",
+          "trace-prefix bound per sampled warp (default 4096)"},
+         {"max-diags", "N", "global cap on stored findings per kernel"},
+         {"json", "",
+          "machine-readable report on stdout (summary line on stderr)"},
+         {"quiet", "", "suppress per-diagnostic lines (summary table only)"}});
     if (!args.positional().empty()) {
-        std::cerr << "usage: unimem_lint [--kernel=a,b] [--scale=F] "
-                     "[--jobs=N] [--passes=a,b] [--all-passes] "
-                     "[--list-passes] [--Werror] [--max-instrs=N] "
-                     "[--max-diags=N] [--json] [--quiet]\n";
+        std::cerr << usage << " (see --help)\n";
         return 3;
     }
 
@@ -188,14 +189,12 @@ main(int argc, char** argv)
     std::vector<std::string> names = selectKernels(args);
     std::vector<std::string> passNames = selectPasses(args);
     double scale = args.getDouble("scale", 0.5);
-    u32 jobs = static_cast<u32>(args.getInt("jobs", 0));
+    u32 jobs = args.getCount("jobs", 0);
 
     LintOptions opt;
     opt.werror = args.getBool("Werror", false);
-    opt.maxInstrsPerWarp =
-        static_cast<u32>(args.getInt("max-instrs", 4096));
-    opt.maxTotalSites =
-        static_cast<u64>(args.getInt("max-diags", 0));
+    opt.maxInstrsPerWarp = args.getCount("max-instrs", 4096);
+    opt.maxTotalSites = args.getCount("max-diags", 0);
 
     // Each job writes its LintReport into its own submission slot, so
     // the report vector — like every sweep table — is identical at any
