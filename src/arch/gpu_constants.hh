@@ -33,6 +33,9 @@ constexpr u32 kMaxThreadsPerSm = 1024;
 /** Maximum resident warps per SM. */
 constexpr u32 kMaxWarpsPerSm = kMaxThreadsPerSm / kWarpWidth;
 
+/** Architectural registers per thread the model supports (ids below). */
+constexpr u32 kMaxArchRegs = 256;
+
 /** Cache line size in bytes (both designs). */
 constexpr u32 kCacheLineBytes = 128;
 

@@ -12,14 +12,14 @@ namespace {
 
 /** Opcode <-> token mapping for the trace format. */
 Opcode
-opcodeFromName(const std::string& name)
+opcodeFromName(const std::string& name, unsigned long long lineNo)
 {
     for (int i = 0; i <= static_cast<int>(Opcode::Bar); ++i) {
         Opcode op = static_cast<Opcode>(i);
         if (name == opcodeName(op))
             return op;
     }
-    fatal("trace: unknown opcode '%s'", name.c_str());
+    fatal("trace: line %llu: unknown opcode '%s'", lineNo, name.c_str());
 }
 
 void
@@ -74,6 +74,7 @@ writeTrace(const KernelModel& kernel, std::ostream& os, u64 seed)
 
 TraceFileKernel::TraceFileKernel(std::istream& is)
 {
+    // A rejected line is named by its 1-based number.
     std::string line;
     if (!std::getline(is, line))
         fatal("trace: empty input");
@@ -83,23 +84,26 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
         u32 version = 0;
         hdr >> magic >> version;
         if (magic != "unimem-trace")
-            fatal("trace: bad magic '%s'", magic.c_str());
+            fatal("trace: line 1: bad magic '%s'", magic.c_str());
         if (version != kTraceFormatVersion)
-            fatal("trace: unsupported version %u", version);
+            fatal("trace: line 1: unsupported version %u", version);
     }
     if (!std::getline(is, line))
-        fatal("trace: missing kernel header");
+        fatal("trace: line 2: missing kernel header");
     {
         std::istringstream hdr(line);
         std::string kw, name, t;
         hdr >> kw >> name;
         if (kw != "kernel")
-            fatal("trace: expected 'kernel', got '%s'", kw.c_str());
+            fatal("trace: line 2: expected 'kernel', got '%s'", kw.c_str());
         params_.name = name;
         while (hdr >> kw) {
             u64 value = 0;
             if (!(hdr >> value))
-                fatal("trace: missing value for '%s'", kw.c_str());
+                fatal("trace: line 2: missing value for '%s'", kw.c_str());
+            if (value > 0xffffffffull)
+                fatal("trace: line 2: value %llu for '%s' out of range",
+                      static_cast<unsigned long long>(value), kw.c_str());
             if (kw == "regs")
                 params_.regsPerThread = static_cast<u32>(value);
             else if (kw == "shared")
@@ -109,41 +113,57 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
             else if (kw == "grid")
                 params_.gridCtas = static_cast<u32>(value);
             else
-                fatal("trace: unknown kernel attribute '%s'", kw.c_str());
+                fatal("trace: line 2: unknown kernel attribute '%s'",
+                      kw.c_str());
         }
     }
     params_.validate();
 
     std::vector<WarpInstr>* current = nullptr;
-    WarpInstr* last_mem = nullptr;
+    WarpInstr* last_mem = nullptr; // memory op still owed its 'a' line
+    unsigned long long line_no = 2;
+    unsigned long long mem_line = 0;
     while (std::getline(is, line)) {
+        ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
         std::string kw;
         ls >> kw;
+        if (last_mem != nullptr && kw != "a")
+            fatal("trace: line %llu: memory op has no address line",
+                  mem_line);
         if (kw == "warp") {
             u32 cta = 0, w = 0;
             if (!(ls >> cta >> w))
-                fatal("trace: malformed warp header");
+                fatal("trace: line %llu: malformed warp header", line_no);
             WarpKey key{cta, w};
             if (warps_.count(key))
-                fatal("trace: duplicate warp %u/%u", cta, w);
+                fatal("trace: line %llu: duplicate warp %u/%u", line_no,
+                      cta, w);
             current = &warps_[key];
-            last_mem = nullptr;
         } else if (kw == "i") {
             if (current == nullptr)
-                fatal("trace: instruction outside a warp block");
+                fatal("trace: line %llu: instruction outside a warp block",
+                      line_no);
             std::string opname;
             u32 dst, s0, s1, s2, bytes;
             u32 mask;
             ls >> opname >> dst >> s0 >> s1 >> s2 >> std::hex >> mask >>
                 std::dec >> bytes;
             if (ls.fail())
-                fatal("trace: malformed instruction line '%s'",
-                      line.c_str());
+                fatal("trace: line %llu: malformed instruction line '%s'",
+                      line_no, line.c_str());
             WarpInstr in;
-            in.op = opcodeFromName(opname);
+            in.op = opcodeFromName(opname, line_no);
+            for (u32 r : {dst, s0, s1, s2})
+                if (r >= kMaxArchRegs && r != kInvalidReg)
+                    fatal("trace: line %llu: register %u out of range "
+                          "(below %u, or %u for none)",
+                          line_no, r, kMaxArchRegs, kInvalidReg);
+            if (bytes > 0xff || (bytes == 0 && isMemOp(in.op)))
+                fatal("trace: line %llu: access size %u out of range",
+                      line_no, bytes);
             in.dst = static_cast<RegId>(dst);
             in.src = {static_cast<RegId>(s0), static_cast<RegId>(s1),
                       static_cast<RegId>(s2)};
@@ -154,28 +174,33 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
             in.activeMask = mask;
             in.accessBytes = static_cast<u8>(bytes);
             current->push_back(in);
-            last_mem = isMemOp(in.op) ? &current->back() : nullptr;
-            if (last_mem != nullptr)
+            if (isMemOp(in.op)) {
+                last_mem = &current->back();
                 last_mem->addr.fill(0); // 'a' lines set active lanes only
+                mem_line = line_no;
+            }
         } else if (kw == "a") {
             if (last_mem == nullptr)
-                fatal("trace: address line without a memory op");
+                fatal("trace: line %llu: address line without a memory op",
+                      line_no);
             for (u32 lane = 0; lane < kWarpWidth; ++lane) {
                 if (!last_mem->laneActive(lane))
                     continue;
                 u64 addr = 0;
                 if (!(ls >> std::hex >> addr))
-                    fatal("trace: too few addresses");
+                    fatal("trace: line %llu: too few addresses", line_no);
                 last_mem->addr[lane] = addr;
             }
             last_mem = nullptr;
         } else if (kw == "end") {
             current = nullptr;
-            last_mem = nullptr;
         } else {
-            fatal("trace: unknown directive '%s'", kw.c_str());
+            fatal("trace: line %llu: unknown directive '%s'", line_no,
+                  kw.c_str());
         }
     }
+    if (last_mem != nullptr)
+        fatal("trace: line %llu: memory op has no address line", mem_line);
 
     u64 expected =
         static_cast<u64>(params_.gridCtas) * params_.warpsPerCta();

@@ -19,8 +19,10 @@
  *   a <addr-hex> ... (per active lane, only for memory ops)
  *   end
  *
- * <dst>/<srcN> use 65535 for "none". The "a" line follows its "i" line
- * and lists one address per active lane, lowest lane first.
+ * <dst>/<srcN> are below kMaxArchRegs, or 65535 for "none". <bytes>
+ * fits a byte and is nonzero for memory ops. Every memory op's "i" line
+ * is followed by its "a" line, which lists one address per active lane,
+ * lowest lane first.
  */
 
 #ifndef UNIMEM_ARCH_TRACE_IO_HH
@@ -50,7 +52,10 @@ void writeTrace(const KernelModel& kernel, std::ostream& os,
 class TraceFileKernel : public KernelModel
 {
   public:
-    /** Parse a trace from @p is; fatal() on malformed input. */
+    /**
+     * Parse a trace from @p is; fatal() on malformed or out-of-range
+     * input, naming the 1-based line.
+     */
     explicit TraceFileKernel(std::istream& is);
 
     const KernelParams& params() const override { return params_; }

@@ -24,7 +24,6 @@
  *
  * The class is templated on the outcome type so this header does not
  * depend on the core conflict model (core already links against mem).
- * Disable with UNIMEM_FOOTPRINT_CACHE=0 for A/B timing comparisons.
  */
 
 #ifndef UNIMEM_MEM_FOOTPRINT_CACHE_HH
@@ -40,9 +39,6 @@
 #include "mem/coalescer.hh"
 
 namespace unimem {
-
-/** Process-wide UNIMEM_FOOTPRINT_CACHE knob (default on), read once. */
-bool footprintCacheEnabledByEnv();
 
 /** Hit/miss counters (diagnostics only; never part of SmStats). */
 struct FootprintStats
@@ -93,7 +89,7 @@ class FootprintCache
         std::array<CoalescedAccess, kMaxInlineLines> lines{};
     };
 
-    FootprintCache() : enabled_(footprintCacheEnabledByEnv()) {}
+    FootprintCache() = default;
 
     /**
      * Recycle the slot slab instead of freeing it. The next cache
@@ -118,8 +114,6 @@ class FootprintCache
     FootprintCache(const FootprintCache&) = delete;
     FootprintCache& operator=(const FootprintCache&) = delete;
 
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
     const FootprintStats& stats() const { return stats_; }
 
     /** Lookup for ops that touch no data banks. nullptr on miss. */
@@ -227,7 +221,7 @@ class FootprintCache
     {
         // The slot array is sized for hot sets of a few hundred live
         // static instructions; allocate it only when a data-bank op
-        // actually shows up (pure-compute or disabled runs stay lean),
+        // actually shows up (pure-compute runs stay lean),
         // and prefer a recycled slab over a fresh zero-fill. Claiming
         // an epoch strictly above every gen stamp any pooled slab can
         // carry makes all inherited entries misses, so a recycled cache
@@ -315,7 +309,6 @@ class FootprintCache
     std::array<ComputeEntry, 256> compute_{};
     std::vector<MemEntry> mem_;
     u64 memGen_ = 0;
-    bool enabled_;
     FootprintStats stats_;
 };
 

@@ -24,7 +24,7 @@ class Scoreboard
 {
   public:
     /** Maximum architectural registers per thread the model supports. */
-    static constexpr u32 kMaxRegs = 256;
+    static constexpr u32 kMaxRegs = kMaxArchRegs;
 
     /**
      * Mark @p r as produced at @p readyAt by a (long-latency?) op.

@@ -51,6 +51,24 @@ resolveAllocation(const KernelParams& kp, const RunSpec& spec)
     panic("resolveAllocation: bad design kind");
 }
 
+SmRunConfig
+smRunConfigFor(const RunSpec& spec, const AllocationDecision& alloc)
+{
+    SmRunConfig cfg;
+    cfg.design = spec.design == DesignKind::FermiLike
+                     ? DesignKind::Partitioned
+                     : spec.design; // Fermi-like banks behave partitioned
+    cfg.partition = alloc.partition;
+    cfg.launch = alloc.launch;
+    cfg.activeSetSize = spec.activeSetSize;
+    cfg.rfHierarchy = spec.rfHierarchy;
+    cfg.conflictPenalties = spec.conflictPenalties;
+    cfg.aggressiveUnified = spec.aggressiveUnified;
+    cfg.cachePolicy = spec.cachePolicy;
+    cfg.seed = spec.seed;
+    return cfg;
+}
+
 bool
 identicalResults(const SimResult& a, const SimResult& b)
 {
@@ -92,20 +110,7 @@ simulateOnce(const KernelModel& kernel, const RunSpec& spec)
               kernel.params().name.c_str(), designName(spec.design),
               res.alloc.partition.str().c_str());
 
-    SmRunConfig cfg;
-    cfg.design = spec.design == DesignKind::FermiLike
-                     ? DesignKind::Partitioned
-                     : spec.design; // Fermi-like banks behave partitioned
-    cfg.partition = res.alloc.partition;
-    cfg.launch = res.alloc.launch;
-    cfg.activeSetSize = spec.activeSetSize;
-    cfg.rfHierarchy = spec.rfHierarchy;
-    cfg.conflictPenalties = spec.conflictPenalties;
-    cfg.aggressiveUnified = spec.aggressiveUnified;
-    cfg.cachePolicy = spec.cachePolicy;
-    cfg.seed = spec.seed;
-
-    res.sm = runKernel(cfg, kernel);
+    res.sm = runKernel(smRunConfigFor(spec, res.alloc), kernel);
     res.energy = energyInputsOf(res.sm, res.alloc);
     return res;
 }

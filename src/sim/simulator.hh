@@ -70,6 +70,15 @@ AllocationDecision resolveAllocation(const KernelParams& kp,
                                      const RunSpec& spec);
 
 /**
+ * The SM configuration simulate() runs @p spec under, given its
+ * resolved allocation. Tests that drive SmModel directly (issue-trace
+ * sinks, sliced advance) use it so they run exactly what simulate()
+ * runs.
+ */
+SmRunConfig smRunConfigFor(const RunSpec& spec,
+                           const AllocationDecision& alloc);
+
+/**
  * Field-by-field equality of two results: allocation, launch, every
  * exported SM statistic, and the derived energy inputs. This is the
  * determinism predicate the sweep engine relies on: two simulations of

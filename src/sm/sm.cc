@@ -1,7 +1,6 @@
 #include "sm/sm.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "arch/spill_injector.hh"
 #include "common/log.hh"
@@ -45,9 +44,6 @@ SmModel::SmModel(const SmRunConfig& cfg, const KernelModel& kernel,
     checkList_.reset(num_warps);
     activations_.reserve(num_warps);
     sched_.setActivationSink(&activations_);
-#ifndef NDEBUG
-    audit_ = std::getenv("UNIMEM_SOA_AUDIT") != nullptr;
-#endif
 }
 
 void
@@ -106,7 +102,6 @@ SmModel::launchCta(u32 ctaSlot)
         sched_.addWarp(slot);
         ++residentWarps_;
     }
-    scanMemoValid_ = false;
 }
 
 void
@@ -119,7 +114,6 @@ SmModel::retireWarp(u32 w)
     wc.stream.release();
     ++hotGen_[w]; // invalidate in-flight load events
     --residentWarps_;
-    scanMemoValid_ = false;
 
     CtaSlot& cta = ctas_[wc.ctaSlot];
     if (--cta.warpsRemaining == 0) {
@@ -135,7 +129,6 @@ SmModel::drainDueEvents()
 {
     // Caller (the inline processEvents) has already established that
     // at least one event is due.
-    scanMemoValid_ = false;
     do {
         LoadEvent ev = events_.top();
         events_.pop();
@@ -234,14 +227,8 @@ SmModel::housekeeping()
             // All live values must reside in the MRF while inactive.
             cold_[w].rf.flushToMrf();
             sched_.deschedule(w);
-            scanMemoValid_ = false;
         }
     }
-
-#ifndef NDEBUG
-    if (audit_)
-        auditHotState();
-#endif
 }
 
 bool
@@ -275,7 +262,6 @@ SmModel::execBarrier(u32 w)
     WarpCold& wc = cold_[w];
     CtaSlot& cta = ctas_[wc.ctaSlot];
     ++stats_.barriers;
-    scanMemoValid_ = false;
 
     hotFlags_[w] |= kWfAtBarrier;
     wc.rf.flushToMrf();
@@ -511,7 +497,6 @@ SmModel::deliverLoad(u32 warp, u32 gen, RegId reg, Cycle completion,
         wc.sb.setPending(reg, completion, true);
         hotFlags_[warp] &= ~kWfCacheValid;
     }
-    scanMemoValid_ = false;
 }
 
 void
@@ -526,7 +511,6 @@ SmModel::issue(u32 w)
     wc.stream.pop();
     // New head, and the exec handlers below touch the scoreboard.
     hotFlags_[w] &= ~kWfCacheValid;
-    scanMemoValid_ = false;
 
     if (issueTrace_ != nullptr)
         issueTrace_->push_back({now_, w, wc.warpGlobalId, in.op});
@@ -557,9 +541,7 @@ SmModel::issue(u32 w)
     FootprintCache<ConflictOutcome>::MemEntry* fp = nullptr;
     ConflictOutcome co;
     const bool data_banks = isMemOp(in.op) && in.op != Opcode::Tex;
-    if (!footprints_.enabled()) {
-        co = conflicts_.evaluate(in, mrf_banks, num_mrf);
-    } else if (!data_banks) {
+    if (!data_banks) {
         u8 sig = mrfSignature(mrf_banks, num_mrf);
         if (const ConflictOutcome* hit = footprints_.findCompute(sig)) {
             co = *hit;
@@ -643,37 +625,42 @@ SmModel::issue(u32 w)
 Cycle
 SmModel::nextInterestingCycle()
 {
+    // A warp promoted during the housekeeping pass that just ran (which
+    // also drained checkList_) is housekept next iteration. If its head
+    // is null or blocked on a long-latency value it will retire or
+    // deschedule, which can promote another such warp: the reference SM
+    // housekeeps every cycle, so that chain advances one link per cycle.
+    // Its scan key is kCycleNever, so the jump below would skip the
+    // chain, or report a deadlock when nothing else is pending. Any
+    // other promoted warp needs no action and its key is in the scan.
+    for (u32 w : activations_) {
+        if (!(hotFlags_[w] & kWfCacheValid))
+            refreshReadyCache(w);
+        if (hotFlags_[w] & (kWfHeadNull | kWfDependsLL))
+            return now_ + 1;
+    }
+
     Cycle t = kCycleNever;
     if (!events_.empty())
-        t = std::min(t, events_.top().at);
+        t = events_.top().at;
     if (issueFreeAt_ > now_)
         t = std::min(t, issueFreeAt_);
 
-    // The active-warp minimum is memoized. Reuse is sound while no
-    // mutation occurred (scanMemoValid_) and the memo is still in the
-    // future: had any warp's ready cycle fallen inside (then, now_],
-    // it would itself have been the memoized minimum, contradicting
-    // scanMemo_ > now_.
-    if (!scanMemoValid_ || scanMemo_ <= now_) {
-        // The scan reads only the flat hotReady_/hotFlags_ arrays: a
-        // null head or long-latency dependence is encoded as
-        // kCycleNever, which can never win the min (m starts there),
-        // so no per-warp branch on those states is needed.
-        Cycle m = kCycleNever;
-        for (u32 w : sched_.activeWarps()) {
-            u8 f = hotFlags_[w];
-            if ((f & (kWfResident | kWfAtBarrier)) != kWfResident)
-                continue;
-            if (!(f & kWfCacheValid))
-                refreshReadyCache(w);
-            Cycle key = hotReady_[w];
-            if (key > now_)
-                m = std::min(m, key);
-        }
-        scanMemo_ = m;
-        scanMemoValid_ = true;
+    // The scan reads only the flat hotReady_/hotFlags_ arrays: a null
+    // head or long-latency dependence is encoded as kCycleNever, which
+    // can never win the min, so no per-warp branch on those states is
+    // needed.
+    for (u32 w : sched_.activeWarps()) {
+        u8 f = hotFlags_[w];
+        if ((f & (kWfResident | kWfAtBarrier)) != kWfResident)
+            continue;
+        if (!(f & kWfCacheValid))
+            refreshReadyCache(w);
+        Cycle key = hotReady_[w];
+        if (key > now_)
+            t = std::min(t, key);
     }
-    return std::min(t, scanMemo_);
+    return t;
 }
 
 void
@@ -787,58 +774,6 @@ SmModel::advance(Cycle limit)
     return now_;
 }
 
-#ifndef NDEBUG
-void
-SmModel::auditHotState()
-{
-    u32 resident = 0;
-    u32 dirty = 0;
-    for (u32 w = 0; w < cold_.size(); ++w) {
-        u8 f = hotFlags_[w];
-        if (f & kWfResident)
-            ++resident;
-        if (f & kWfDirty)
-            ++dirty;
-        if ((f & (kWfResident | kWfCacheValid)) !=
-            (kWfResident | kWfCacheValid))
-            continue;
-        // A valid cache means refreshReadyCache already peeked this
-        // head, so peek() here returns the buffered instruction
-        // without side effects.
-        const WarpInstr* in = cold_[w].stream.peek();
-        bool head_null = in == nullptr;
-        bool dep_ll = false;
-        Cycle key = kCycleNever;
-        if (!head_null) {
-            Scoreboard::ReadyInfo info = cold_[w].sb.readyInfo(*in);
-            dep_ll = info.longLatency;
-            if (!dep_ll)
-                key = info.readyAt;
-        }
-        if (head_null != ((f & kWfHeadNull) != 0) ||
-            dep_ll != ((f & kWfDependsLL) != 0) || key != hotReady_[w])
-            panic("SoA audit: warp %u hot state stale (flags=%u "
-                  "key=%llu, recomputed headNull=%d dependsLL=%d "
-                  "key=%llu)",
-                  w, static_cast<unsigned>(f),
-                  static_cast<unsigned long long>(hotReady_[w]),
-                  static_cast<int>(head_null), static_cast<int>(dep_ll),
-                  static_cast<unsigned long long>(key));
-    }
-    if (resident != residentWarps_)
-        panic("SoA audit: %u resident flags vs residentWarps_=%u",
-              resident, residentWarps_);
-    if (dirty != checkList_.size())
-        panic("SoA audit: %u dirty flags vs %u queued housekeeping "
-              "entries",
-              dirty, checkList_.size());
-    for (u32 i = 0; i < checkList_.size(); ++i)
-        if (!(hotFlags_[checkList_.at(i)] & kWfDirty))
-            panic("SoA audit: queued warp %u not marked dirty",
-                  checkList_.at(i));
-}
-#endif
-
 const SmStats&
 SmModel::finalize()
 {
@@ -847,10 +782,6 @@ SmModel::finalize()
     if (finalized_)
         return stats_;
     finalized_ = true;
-#ifndef NDEBUG
-    if (audit_)
-        auditHotState();
-#endif
 
     // With a private DRAM its drain time belongs to this SM; in chip
     // mode the residual drain (and all DRAM statistics) live at the

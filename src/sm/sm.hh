@@ -15,7 +15,10 @@
  * free up; barriers synchronize the warps of a CTA.
  *
  * Idle stretches are skipped by advancing the clock directly to the next
- * interesting event, so DRAM-bound phases simulate quickly.
+ * interesting event, so DRAM-bound phases simulate quickly. The loop's
+ * spec is the per-cycle reference in tests/reference_sm.hh, which ticks
+ * every cycle without any of these shortcuts; tests/test_reference_sm
+ * requires identical statistics and issue traces from both.
  */
 
 #ifndef UNIMEM_SM_SM_HH
@@ -171,15 +174,9 @@ class SmModel
     u64 guardPeak() const { return guardPeak_; }
 
     /**
-     * Static-instruction footprint cache (test/diagnostic hook; its
-     * counters are deliberately not part of SmStats so cached and
-     * uncached runs export identical statistics).
+     * Static-instruction footprint cache counters (diagnostics only;
+     * they are not part of SmStats).
      */
-    FootprintCache<ConflictOutcome>& footprintCache()
-    {
-        return footprints_;
-    }
-
     const FootprintStats& footprintStats() const
     {
         return footprints_.stats();
@@ -418,15 +415,6 @@ class SmModel
     u64 guardPeak_ = 0;
     Cycle guardLastNow_ = 0;
 
-    /**
-     * Memoized min over active warps inside nextInterestingCycle()
-     * (DESIGN.md Section 9). Reused only while no scheduler, stream,
-     * or scoreboard mutation occurred and the memo still lies in the
-     * future; any such mutation clears scanMemoValid_.
-     */
-    Cycle scanMemo_ = 0;
-    bool scanMemoValid_ = false;
-
     /** Warps needing a housekeeping look (just issued or activated). */
     IndexRing checkList_;
 
@@ -441,19 +429,6 @@ class SmModel
     std::vector<SharedConflictRecord>* sharedTrace_ = nullptr;
 
     ownership::Actor deliveryOwner_ = ownership::kNoActor;
-
-#ifndef NDEBUG
-    /**
-     * UNIMEM_SOA_AUDIT=1 (Debug builds): after every housekeeping
-     * pass and at finalize, recompute each warp's hot entries from
-     * its cold stream/scoreboard state and panic on any divergence —
-     * a stale readiness cache, a dropped dirty mark, or a resident
-     * count drift. Reads only already-buffered stream heads, so it
-     * cannot perturb the simulation it is checking.
-     */
-    bool audit_ = false;
-    void auditHotState();
-#endif
 
     SmStats stats_;
 };

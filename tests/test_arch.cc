@@ -360,7 +360,73 @@ TEST(TraceIo, RejectsAddressesWithoutMemOp)
     std::stringstream ss(
         "unimem-trace 1\nkernel x regs 8 shared 0 cta 32 grid 1\n"
         "warp 0 0\na 1000\nend\n");
-    EXPECT_DEATH({ TraceFileKernel k(ss); }, "address");
+    EXPECT_DEATH({ TraceFileKernel k(ss); },
+                 "line 4: address line without a memory op");
+}
+
+/** One warp of a 32-thread, 1-CTA kernel whose body is @p body. */
+std::string
+oneWarpTrace(const std::string& body)
+{
+    return "unimem-trace 1\nkernel x regs 8 shared 0 cta 32 grid 1\n"
+           "warp 0 0\n" +
+           body + "end\n";
+}
+
+TEST(TraceIo, RejectsOutOfRangeRegisters)
+{
+    // 70001 used to wrap to register 4465 and panic in the Scoreboard.
+    std::stringstream wide(
+        oneWarpTrace("i ialu 70001 0 65535 65535 ffffffff 4\n"));
+    EXPECT_DEATH({ TraceFileKernel k(wide); },
+                 "line 4: register 70001 out of range");
+    std::stringstream src(oneWarpTrace("# comment\n"
+                                       "i ialu 1 0 256 65535 ffffffff 4\n"));
+    EXPECT_DEATH({ TraceFileKernel k(src); },
+                 "line 5: register 256 out of range");
+}
+
+TEST(TraceIo, RejectsOutOfRangeAccessSizes)
+{
+    // 260 used to truncate silently to 4.
+    std::stringstream big(oneWarpTrace(
+        "i ld.global 1 0 65535 65535 1 260\na 1000\n"));
+    EXPECT_DEATH({ TraceFileKernel k(big); },
+                 "line 4: access size 260 out of range");
+    std::stringstream zero(oneWarpTrace(
+        "i ialu 2 0 65535 65535 ffffffff 4\n"
+        "i st.shared 65535 2 65535 65535 1 0\na 40\n"));
+    EXPECT_DEATH({ TraceFileKernel k(zero); },
+                 "line 5: access size 0 out of range");
+}
+
+TEST(TraceIo, RejectsMemoryOpWithoutAddressLine)
+{
+    // Used to load with every address zero.
+    std::stringstream mid(oneWarpTrace(
+        "i ld.global 1 0 65535 65535 1 4\n"
+        "i ialu 2 1 65535 65535 ffffffff 4\n"));
+    EXPECT_DEATH({ TraceFileKernel k(mid); },
+                 "line 4: memory op has no address line");
+    std::stringstream eof(
+        "unimem-trace 1\nkernel x regs 8 shared 0 cta 32 grid 1\n"
+        "warp 0 0\ni tex 1 0 65535 65535 1 4\n");
+    EXPECT_DEATH({ TraceFileKernel k(eof); },
+                 "line 4: memory op has no address line");
+}
+
+TEST(TraceIo, HeaderErrorsNameTheirLine)
+{
+    std::stringstream magic("not-a-trace 1\n");
+    EXPECT_DEATH({ TraceFileKernel k(magic); }, "line 1: bad magic");
+    std::stringstream wide("unimem-trace 1\nkernel x regs 4294967304\n");
+    EXPECT_DEATH({ TraceFileKernel k(wide); },
+                 "line 2: value 4294967304 for 'regs' out of range");
+    std::stringstream attr("unimem-trace 1\nkernel x regs 8 colour 3\n");
+    EXPECT_DEATH({ TraceFileKernel k(attr); },
+                 "line 2: unknown kernel attribute 'colour'");
+    std::stringstream op(oneWarpTrace("i nop 1 0 65535 65535 1 4\n"));
+    EXPECT_DEATH({ TraceFileKernel k(op); }, "line 4: unknown opcode 'nop'");
 }
 
 } // namespace

@@ -1,27 +1,21 @@
 /**
  * @file
- * Unit tests for the static-instruction footprint cache and its
- * integration into the SM issue path.
+ * Unit tests for the static-instruction footprint cache.
  *
  * The cache is a pure memoization layer: a hit must replay exactly what
- * the full computation would produce, and enabling/disabling it must not
- * change a single exported statistic. The suite covers the key packing,
- * the exact-match lookup (every key field individually), the slot-hash
- * distribution (a regression test for the low-bit-degeneracy bug that
- * collapsed strided footprints onto two slots), and whole-run A/B
- * parity on a real kernel.
+ * the full computation would produce. The suite covers the key packing,
+ * the exact-match lookup (every key field individually) and the
+ * slot-hash distribution (a regression test for the low-bit-degeneracy
+ * bug that collapsed strided footprints onto two slots). Whole-run
+ * parity is tests/test_reference_sm.cc's job: its reference SM never
+ * uses the cache, so every kernel checks that a cached run exports
+ * what the uncached computation would.
  */
-
-#include <memory>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/conflict_model.hh"
-#include "kernels/registry.hh"
 #include "mem/footprint_cache.hh"
-#include "sim/simulator.hh"
-#include "sm/sm.hh"
 
 namespace unimem {
 namespace {
@@ -188,79 +182,6 @@ TEST(FootprintCacheUnit, StridedKeysDoNotCollide)
     // 128 random slots out of 8192 expect ~1 birthday collision; the
     // degenerate hash kept only 2 of 133 keys alive.
     EXPECT_GE(survivors, kKeys - 8);
-}
-
-/** Mirror of the simulate() config mapping (direct SmModel access). */
-SmRunConfig
-configFor(const KernelModel& kernel, DesignKind design)
-{
-    RunSpec spec;
-    spec.design = design;
-    AllocationDecision alloc = resolveAllocation(kernel.params(), spec);
-    EXPECT_TRUE(alloc.launch.feasible);
-    SmRunConfig cfg;
-    cfg.design = spec.design;
-    cfg.partition = alloc.partition;
-    cfg.launch = alloc.launch;
-    cfg.activeSetSize = spec.activeSetSize;
-    cfg.rfHierarchy = spec.rfHierarchy;
-    cfg.conflictPenalties = spec.conflictPenalties;
-    cfg.aggressiveUnified = spec.aggressiveUnified;
-    cfg.cachePolicy = spec.cachePolicy;
-    cfg.seed = spec.seed;
-    return cfg;
-}
-
-/**
- * The memoization contract: runs with the cache on and off export
- * bit-identical statistics and identical issue traces. dgemm exercises
- * both tables hard (shared-memory tile loops for the mem cache, FMA
- * chains for the compute table); bfs adds divergent, input-dependent
- * addresses that mostly miss.
- */
-TEST(FootprintCacheParity, OnOffBitIdentical)
-{
-    for (const char* name : {"dgemm", "bfs"}) {
-        for (DesignKind design :
-             {DesignKind::Partitioned, DesignKind::Unified}) {
-            std::unique_ptr<KernelModel> k1 = createBenchmark(name, 0.02);
-            SmModel on(configFor(*k1, design), *k1);
-            on.footprintCache().setEnabled(true);
-            std::vector<SmModel::IssueRecord> traceOn;
-            on.setIssueTrace(&traceOn);
-            on.run();
-
-            std::unique_ptr<KernelModel> k2 = createBenchmark(name, 0.02);
-            SmModel off(configFor(*k2, design), *k2);
-            off.footprintCache().setEnabled(false);
-            std::vector<SmModel::IssueRecord> traceOff;
-            off.setIssueTrace(&traceOff);
-            off.run();
-
-            // The cache must actually be in play for the comparison to
-            // mean anything.
-            EXPECT_GT(on.footprintStats().computeHits +
-                          on.footprintStats().memHits,
-                      0u)
-                << name;
-            EXPECT_EQ(off.footprintStats().computeHits, 0u);
-            EXPECT_EQ(off.footprintStats().memHits, 0u);
-
-            EXPECT_EQ(on.stats().toStatSet().entries(),
-                      off.stats().toStatSet().entries())
-                << name << " " << designName(design);
-
-            ASSERT_EQ(traceOn.size(), traceOff.size()) << name;
-            for (size_t i = 0; i < traceOn.size(); ++i) {
-                ASSERT_EQ(traceOn[i].cycle, traceOff[i].cycle)
-                    << name << " at " << i;
-                ASSERT_EQ(traceOn[i].warp, traceOff[i].warp)
-                    << name << " at " << i;
-                ASSERT_EQ(traceOn[i].op, traceOff[i].op)
-                    << name << " at " << i;
-            }
-        }
-    }
 }
 
 } // namespace

@@ -31,17 +31,7 @@ configFor(const KernelModel& kernel, DesignKind design)
     spec.design = design;
     AllocationDecision alloc = resolveAllocation(kernel.params(), spec);
     EXPECT_TRUE(alloc.launch.feasible);
-    SmRunConfig cfg;
-    cfg.design = spec.design;
-    cfg.partition = alloc.partition;
-    cfg.launch = alloc.launch;
-    cfg.activeSetSize = spec.activeSetSize;
-    cfg.rfHierarchy = spec.rfHierarchy;
-    cfg.conflictPenalties = spec.conflictPenalties;
-    cfg.aggressiveUnified = spec.aggressiveUnified;
-    cfg.cachePolicy = spec.cachePolicy;
-    cfg.seed = spec.seed;
-    return cfg;
+    return smRunConfigFor(spec, alloc);
 }
 
 /** A whole run in one advance() keeps the no-progress counter tiny. */

@@ -85,20 +85,9 @@ traceOf(const TracePoint& pt)
         resolveAllocation(kernel->params(), spec);
     EXPECT_TRUE(alloc.launch.feasible);
 
-    // Mirror of the simulate() config mapping; the trace sink needs
-    // direct SmModel access, which the facade does not expose.
-    SmRunConfig cfg;
-    cfg.design = spec.design;
-    cfg.partition = alloc.partition;
-    cfg.launch = alloc.launch;
-    cfg.activeSetSize = spec.activeSetSize;
-    cfg.rfHierarchy = spec.rfHierarchy;
-    cfg.conflictPenalties = spec.conflictPenalties;
-    cfg.aggressiveUnified = spec.aggressiveUnified;
-    cfg.cachePolicy = spec.cachePolicy;
-    cfg.seed = spec.seed;
-
-    SmModel sm(cfg, *kernel);
+    // The trace sink needs direct SmModel access, which the facade does
+    // not expose.
+    SmModel sm(smRunConfigFor(spec, alloc), *kernel);
     std::vector<SmModel::IssueRecord> trace;
     sm.setIssueTrace(&trace);
     sm.run();
