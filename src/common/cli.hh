@@ -42,9 +42,7 @@ class CliArgs
 
     /**
      * Parse without validating. For programs whose flag set depends on
-     * a positional argument (they call accept() once they know it), and
-     * for bench/perf_harness.cc, which must also build against older
-     * trees whose parser has no declarations.
+     * a positional argument: they call accept() once they know it.
      */
     CliArgs(int argc, const char* const* argv);
 

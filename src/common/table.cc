@@ -1,7 +1,6 @@
 #include "common/table.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
@@ -31,59 +30,9 @@ Table::num(double v, int precision)
     return os.str();
 }
 
-namespace {
-
-bool
-csvRequested()
-{
-    static const bool csv = [] {
-        const char* v = std::getenv("UNIMEM_TABLE");
-        return v != nullptr && std::string(v) == "csv";
-    }();
-    return csv;
-}
-
-void
-printCsvField(std::ostream& os, const std::string& field)
-{
-    if (field.find_first_of(",\"\n") == std::string::npos) {
-        os << field;
-        return;
-    }
-    os << '"';
-    for (char c : field) {
-        if (c == '"')
-            os << '"';
-        os << c;
-    }
-    os << '"';
-}
-
-} // namespace
-
-void
-Table::printCsv(std::ostream& os) const
-{
-    auto row_out = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c > 0)
-                os << ',';
-            printCsvField(os, row[c]);
-        }
-        os << '\n';
-    };
-    row_out(headers_);
-    for (const auto& row : rows_)
-        row_out(row);
-}
-
 void
 Table::print(std::ostream& os) const
 {
-    if (csvRequested()) {
-        printCsv(os);
-        return;
-    }
     std::vector<size_t> widths(headers_.size());
     for (size_t c = 0; c < headers_.size(); ++c)
         widths[c] = headers_[c].size();

@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table formatter used by the benchmark harnesses to print
- * paper-style result tables.
+ * ASCII table formatter used by the tools to print paper-style result
+ * tables.
  */
 
 #ifndef UNIMEM_COMMON_TABLE_HH
@@ -25,16 +25,8 @@ class Table
     /** Convenience: format a double with @p precision decimals. */
     static std::string num(double v, int precision = 2);
 
-    /**
-     * Render the table. Default: aligned ASCII columns with a separator
-     * rule. When the environment variable UNIMEM_TABLE is set to "csv",
-     * every table in the process renders as CSV instead, so any bench
-     * harness output can feed a plotting script unchanged.
-     */
+    /** Render as aligned ASCII columns with a separator rule. */
     void print(std::ostream& os) const;
-
-    /** Render as comma-separated values (quotes fields with commas). */
-    void printCsv(std::ostream& os) const;
 
     size_t numRows() const { return rows_.size(); }
 

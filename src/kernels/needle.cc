@@ -189,8 +189,7 @@ class NeedleKernel : public SyntheticKernel
         params_.sharedBytesPerCta = 2 * (bf + 1) * (bf + 1) * 4;
         params_.ctaThreads = std::max(bf, kWarpWidth);
         // Constant total matrix work: tiles shrink quadratically in BF.
-        params_.gridCtas =
-            scaledCtas(96, scale * (32.0 * 32.0) / (bf * bf));
+        params_.gridCtas = scaledCtas(96 * 32 * 32 / (bf * bf), scale);
         params_.spillCurve = SpillCurve({{18, 1.02}, {24, 1.0}});
     }
 

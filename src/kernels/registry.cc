@@ -1,5 +1,7 @@
 #include "kernels/registry.hh"
 
+#include <cmath>
+
 #include "common/log.hh"
 #include "kernels/workloads.hh"
 
@@ -8,8 +10,16 @@ namespace unimem {
 u32
 scaledCtas(u32 base, double scale)
 {
-    double v = static_cast<double>(base) * scale;
-    u32 ctas = static_cast<u32>(v + 0.5);
+    // Every kernel's grid, and so every --scale a tool or example
+    // reads, comes through here. Converting an out-of-range double to
+    // u32 is undefined behaviour.
+    if (!(scale > 0.0) || !std::isfinite(scale))
+        fatal("workload scale %g: must be a positive finite number", scale);
+    double v = static_cast<double>(base) * scale + 0.5;
+    if (v >= 4294967296.0)
+        fatal("workload scale %g: %.0f CTAs do not fit in 32 bits", scale,
+              v - 0.5);
+    u32 ctas = static_cast<u32>(v);
     return ctas == 0 ? 1 : ctas;
 }
 

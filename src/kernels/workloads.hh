@@ -18,7 +18,10 @@
 
 namespace unimem {
 
-/** Scale a base CTA count, keeping at least one CTA. */
+/**
+ * Scale a base CTA count, keeping at least one CTA. fatal() unless
+ * @p scale is finite and > 0 and the scaled count fits in 32 bits.
+ */
 u32 scaledCtas(u32 base, double scale);
 
 /** Common base for the synthetic kernels: stores the KernelParams. */

@@ -72,14 +72,26 @@ ChipModel::resolveWorkerCount(u32 requested, u32 numSms)
     return std::min(std::max<u32>(workers, 1), std::max<u32>(numSms, 1));
 }
 
+namespace {
+
+/** Runs before the DRAM members, which --sms=0 would give 0 B/cycle. */
+const ChipConfig&
+checkedConfig(const ChipConfig& cfg)
+{
+    if (cfg.numSms == 0)
+        fatal("ChipModel: zero SMs");
+    if (cfg.quantum == 0)
+        fatal("ChipModel: zero quantum");
+    return cfg;
+}
+
+} // namespace
+
 ChipModel::ChipModel(const ChipConfig& cfg, const KernelModel& kernel)
-    : cfg_(cfg), dram_(cfg.chipDramBytesPerCycle, cfg.sm.lat.dram),
+    : cfg_(checkedConfig(cfg)),
+      dram_(cfg.chipDramBytesPerCycle, cfg.sm.lat.dram),
       texDram_(cfg.chipDramBytesPerCycle, cfg.sm.lat.dram)
 {
-    if (cfg_.numSms == 0)
-        fatal("ChipModel: zero SMs");
-    if (cfg_.quantum == 0)
-        fatal("ChipModel: zero quantum");
     // Ownership contract (common/ownership.hh): queue i records only
     // under SM i's bound-phase actor; the shared controllers and every
     // delivery entry point belong to the weaver.

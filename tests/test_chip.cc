@@ -56,6 +56,18 @@ TEST(Chip, OneSmMatchesSingleSmExactly)
     EXPECT_EQ(chip_stats.dram.sectors(), single.dram.sectors());
 }
 
+TEST(Chip, ZeroSmsIsFatalBeforeDramIsBuilt)
+{
+    // unimem_cli chip --sms=0 derives 0 B/cycle of chip DRAM from it.
+    auto k = createBenchmark("sgemv", 0.15);
+    ChipConfig cfg;
+    cfg.numSms = 0;
+    cfg.chipDramBytesPerCycle = 0;
+    cfg.sm = smConfigFor(*k);
+    EXPECT_EXIT(ChipModel(cfg, *k), ::testing::ExitedWithCode(1),
+                "ChipModel: zero SMs");
+}
+
 TEST(Chip, QuantumSizeDoesNotChangeSingleSmResult)
 {
     auto k = createBenchmark("vectoradd", 0.1);

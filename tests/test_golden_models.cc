@@ -5,19 +5,16 @@
  * production components and must agree exactly.
  *  - DataCache vs a straightforward per-set LRU list,
  *  - Scoreboard vs a map of pending registers,
- *  - occupancy calculators vs brute-force feasibility search,
- *  - Table CSV rendering.
+ *  - occupancy calculators vs brute-force feasibility search.
  */
 
 #include <list>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "common/table.hh"
 #include "mem/cache.hh"
 #include "sched/occupancy.hh"
 #include "sched/scoreboard.hh"
@@ -203,17 +200,6 @@ TEST(GoldenModels, UnifiedOccupancyInvariant)
         bool capacity_bound = (ul.launch.ctas + 1) * per_cta > cap;
         EXPECT_TRUE(thread_bound || capacity_bound) << "trial " << trial;
     }
-}
-
-TEST(GoldenModels, CsvRenderingQuotesSpecials)
-{
-    Table t({"a", "b"});
-    t.addRow({"plain", "with,comma"});
-    t.addRow({"with\"quote", "x"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(),
-              "a,b\nplain,\"with,comma\"\n\"with\"\"quote\",x\n");
 }
 
 } // namespace

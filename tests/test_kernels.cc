@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -203,6 +204,23 @@ TEST(KernelRegistry, ScaleControlsGridSize)
     auto small = createBenchmark("vectoradd", 0.25);
     auto big = createBenchmark("vectoradd", 1.0);
     EXPECT_LT(small->params().gridCtas, big->params().gridCtas);
+}
+
+TEST(KernelRegistry, HostileScalesAreFatal)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EXIT(createBenchmark("vectoradd", -1.0),
+                ::testing::ExitedWithCode(1), "workload scale -1: must be");
+    EXPECT_EXIT(createBenchmark("vectoradd", 0.0),
+                ::testing::ExitedWithCode(1), "workload scale 0: must be");
+    EXPECT_EXIT(createBenchmark("vectoradd", nan),
+                ::testing::ExitedWithCode(1), "workload scale -?nan: must be");
+    EXPECT_EXIT(createBenchmark("vectoradd", inf),
+                ::testing::ExitedWithCode(1), "workload scale inf: must be");
+    EXPECT_EXIT(createBenchmark("vectoradd", 1e12),
+                ::testing::ExitedWithCode(1),
+                "workload scale 1e\\+12: 48000000000000 CTAs do not fit");
 }
 
 TEST(Needle, BlockingFactorControlsSharedFootprint)

@@ -20,6 +20,7 @@
  *   unimem_cli reproduce fig9_benefit --jobs=4
  */
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 
@@ -311,8 +312,11 @@ cmdReproduce(const CliArgs& args)
         fatal("missing exhibit name (try 'unimem_cli reproduce --list')");
     ExhibitConfig cfg;
     cfg.scale = args.getDouble("scale", 0.0);
-    if (args.has("scale") && cfg.scale <= 0.0)
-        fatal("flag --scale expects a positive number, got '%s'",
+    // Checked here, not only in scaledCtas: the sweeps build kernels on
+    // worker threads, where fatal() would exit under running workers.
+    if (args.has("scale") &&
+        (!(cfg.scale > 0.0) || !std::isfinite(cfg.scale)))
+        fatal("flag --scale expects a positive finite number, got '%s'",
               args.getString("scale", "").c_str());
     cfg.jobs = args.getCount("jobs", cfg.jobs);
     cfg.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
