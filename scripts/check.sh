@@ -15,9 +15,11 @@
 #      access during a bound phase panics deterministically — the
 #      by-construction complement to TSan's timing-dependent detection
 #   5. memory: rebuild the analyzer, integration and reference-SM
-#      differential tests under AddressSanitizer+UBSan and run them with
-#      halt_on_error (the differential test drives the whole SM issue
-#      path of both SmModel and the per-cycle reference)
+#      differential tests, the footprint-pass oracle and the trace
+#      parser's TraceIo cases under AddressSanitizer+UBSan and run them
+#      with halt_on_error (the differential test drives the whole SM
+#      issue path of both SmModel and the per-cycle reference; the
+#      oracle and the parser are the code a hostile trace reaches)
 #   6. tidy (opt-in via --tidy): clang-tidy over src/ using the compile
 #      database; skipped with a notice when clang-tidy is absent
 #
@@ -95,19 +97,22 @@ if [[ $run_ownership -eq 1 ]]; then
 fi
 
 if [[ $run_asan -eq 1 ]]; then
-    echo "=== AddressSanitizer+UBSan: analyzer + integration + SM issue path ==="
+    echo "=== AddressSanitizer+UBSan: analyzer + integration + SM issue path + trace input ==="
     cmake -B build-asan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
     cmake --build build-asan -j "$JOBS" \
         --target test_analysis --target test_integration \
-        --target test_reference_sm --target unimem_lint
+        --target test_reference_sm --target test_footprint \
+        --target test_arch --target unimem_lint
     export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
     export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
     ./build-asan/tests/test_analysis
     ./build-asan/tests/test_integration
     ./build-asan/tests/test_reference_sm
+    ./build-asan/tests/test_footprint
+    ./build-asan/tests/test_arch --gtest_filter='TraceIo.*'
     ./build-asan/tools/unimem_lint --Werror --jobs="$JOBS"
 fi
 

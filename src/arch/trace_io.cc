@@ -161,8 +161,15 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
                     fatal("trace: line %llu: register %u out of range "
                           "(below %u, or %u for none)",
                           line_no, r, kMaxArchRegs, kInvalidReg);
-            if (bytes > 0xff || (bytes == 0 && isMemOp(in.op)))
-                fatal("trace: line %llu: access size %u out of range",
+            // The footprint pass (mem/coalescer) covers accesses of up
+            // to one line; these are the sizes a GPU ISA issues.
+            const bool size_ok =
+                isMemOp(in.op) ? bytes == 1 || bytes == 2 || bytes == 4 ||
+                                     bytes == 8 || bytes == 16
+                               : bytes <= 0xff;
+            if (!size_ok)
+                fatal("trace: line %llu: access size %u out of range "
+                      "(memory ops take 1, 2, 4, 8 or 16 bytes)",
                       line_no, bytes);
             in.dst = static_cast<RegId>(dst);
             in.src = {static_cast<RegId>(s0), static_cast<RegId>(s1),
@@ -189,6 +196,13 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
                 u64 addr = 0;
                 if (!(ls >> std::hex >> addr))
                     fatal("trace: line %llu: too few addresses", line_no);
+                if (addr % kCacheLineBytes + last_mem->accessBytes >
+                    kCacheLineBytes)
+                    fatal("trace: line %llu: lane %u's %u-byte access at "
+                          "%#llx crosses a 128-byte line",
+                          line_no, lane,
+                          static_cast<u32>(last_mem->accessBytes),
+                          static_cast<unsigned long long>(addr));
                 last_mem->addr[lane] = addr;
             }
             last_mem = nullptr;

@@ -20,9 +20,10 @@
  *   end
  *
  * <dst>/<srcN> are below kMaxArchRegs, or 65535 for "none". <bytes>
- * fits a byte and is nonzero for memory ops. Every memory op's "i" line
- * is followed by its "a" line, which lists one address per active lane,
- * lowest lane first.
+ * is 1, 2, 4, 8 or 16 for memory ops and fits a byte otherwise. Every
+ * memory op's "i" line is followed by its "a" line, which lists one
+ * address per active lane, lowest lane first; no lane's access may
+ * cross a 128-byte line.
  */
 
 #ifndef UNIMEM_ARCH_TRACE_IO_HH

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "common/log.hh"
-
 namespace unimem {
 
 namespace {
@@ -16,87 +14,83 @@ usesDataBanks(Opcode op)
     return isMemOp(op) && op != Opcode::Tex;
 }
 
+/** Bit 4c set iff any of words 4c..4c+3 is: one bit per 16-byte chunk. */
+u32
+chunkBits(u32 words)
+{
+    words |= words >> 1;
+    words |= words >> 2;
+    return words & 0x11111111u;
+}
+
+u32
+popcount(u32 v)
+{
+    return static_cast<u32>(__builtin_popcount(v));
+}
+
+/** Bank (line % 4) holding @p lineAddr's chunks in every unified cluster. */
+u32
+unifiedBankOf(Addr lineAddr)
+{
+    return static_cast<u32>((lineAddr / kCacheLineBytes) % kBanksPerCluster);
+}
+
+/**
+ * Largest number of @p lines whose word masks share one set bit, i.e.
+ * the busiest partitioned bank. The 32 per-bank counts are kept
+ * bit-sliced — plane p holds bit p of every count — so each line is one
+ * ripple-carry add, and the maximum is read from the top plane down.
+ */
+u32
+maxLinesPerWord(const std::vector<CoalescedAccess>& lines)
+{
+    std::array<u32, 6> plane{}; // a count reaches at most 32 lines
+    for (const CoalescedAccess& acc : lines) {
+        u32 carry = acc.wordMask;
+        for (u32 p = 0; carry != 0; ++p) {
+            u32 next = plane[p] & carry;
+            plane[p] ^= carry;
+            carry = next;
+        }
+    }
+    u32 candidates = ~0u;
+    u32 max = 0;
+    for (u32 p = static_cast<u32>(plane.size()); p-- > 0;) {
+        if (plane[p] & candidates) {
+            candidates &= plane[p];
+            max |= 1u << p;
+        }
+    }
+    return max;
+}
+
 } // namespace
-
-u32
-ConflictModel::collectWords(const WarpInstr& in, Addr* out) const
-{
-    // Every lane contributes each 4-byte word its accessBytes span
-    // covers — an 8-byte access occupies two words, exactly the units
-    // the banks must serve.
-    //
-    // The common footprints (unit/constant positive stride) emit their
-    // words in non-decreasing order, where first-occurrence dedup
-    // degenerates to skipping adjacent repeats — same output array as
-    // the hash path, without the per-word probe. Gather first, pick the
-    // dedup strategy after.
-    Addr raw[2 * kWarpWidth];
-    u32 n_raw = 0;
-    bool sorted = true;
-    for (u32 lane = 0; lane < kWarpWidth; ++lane) {
-        if (!in.laneActive(lane))
-            continue;
-        for (u32 b = 0; b < in.accessBytes; b += 4) {
-            Addr w = (in.addr[lane] + b) / kPartitionedBankWidth;
-            sorted &= n_raw == 0 || w >= raw[n_raw - 1];
-            raw[n_raw++] = w;
-        }
-    }
-    u32 n = 0;
-    if (sorted) {
-        for (u32 i = 0; i < n_raw; ++i)
-            if (n == 0 || raw[i] != out[n - 1])
-                out[n++] = raw[i];
-        return n;
-    }
-    scratch_.begin();
-    for (u32 i = 0; i < n_raw; ++i)
-        if (scratch_.insert(raw[i]))
-            out[n++] = raw[i];
-    return n;
-}
-
-u32
-ConflictModel::dedupShifted(const Addr* vals, u32 n, u32 shift,
-                            Addr* out) const
-{
-    // Deduplicated input in ascending order (the usual case: it came
-    // from collectWords' sorted path) stays ascending after the shift,
-    // so adjacent-skip reproduces the hash path's first-occurrence
-    // output exactly.
-    bool sorted = true;
-    for (u32 i = 1; i < n; ++i)
-        sorted &= vals[i] >= vals[i - 1];
-    u32 m = 0;
-    if (sorted) {
-        for (u32 i = 0; i < n; ++i) {
-            Addr v = vals[i] >> shift;
-            if (m == 0 || v != out[m - 1])
-                out[m++] = v;
-        }
-        return m;
-    }
-    scratch_.begin();
-    for (u32 i = 0; i < n; ++i) {
-        Addr v = vals[i] >> shift;
-        if (scratch_.insert(v))
-            out[m++] = v;
-    }
-    return m;
-}
 
 ConflictOutcome
 ConflictModel::evaluate(const WarpInstr& in, const u8* mrfBanks,
                         u32 numMrfReads) const
 {
-    if (kind_ == DesignKind::Unified)
-        return evalUnified(in, mrfBanks, numMrfReads);
-    return evalPartitioned(in, mrfBanks, numMrfReads);
+    lines_.clear();
+    if (usesDataBanks(in.op))
+        coalesce(in, lines_);
+    return evaluate(in, lines_, mrfBanks, numMrfReads);
 }
 
 ConflictOutcome
-ConflictModel::evalPartitioned(const WarpInstr& in, const u8* mrfBanks,
-                               u32 numMrfReads) const
+ConflictModel::evaluate(const WarpInstr& in,
+                        const std::vector<CoalescedAccess>& lines,
+                        const u8* mrfBanks, u32 numMrfReads) const
+{
+    if (kind_ == DesignKind::Unified)
+        return evalUnified(in, lines, mrfBanks, numMrfReads);
+    return evalPartitioned(in, lines, mrfBanks, numMrfReads);
+}
+
+ConflictOutcome
+ConflictModel::evalPartitioned(const WarpInstr& in,
+                               const std::vector<CoalescedAccess>& lines,
+                               const u8* mrfBanks, u32 numMrfReads) const
 {
     ConflictOutcome out;
 
@@ -108,74 +102,21 @@ ConflictModel::evalPartitioned(const WarpInstr& in, const u8* mrfBanks,
 
     u32 mem_max = 0;
     if (usesDataBanks(in.op)) {
-        // Gather the raw word stream once. In the sorted common case
-        // (all strided kernel footprints) every output this function
-        // reports is an order-independent reduction over the *distinct*
-        // words — a count, a shifted count, and a histogram max — and
-        // sorted first-occurrence dedup is adjacent-unique, so one
-        // fused pass over the raw stream produces all three without
-        // materializing the words/chunks arrays or re-scanning them.
-        Addr raw[2 * kWarpWidth];
-        u32 n_raw = 0;
-        bool sorted = true;
-        for (u32 lane = 0; lane < kWarpWidth; ++lane) {
-            if (!in.laneActive(lane))
-                continue;
-            for (u32 b = 0; b < in.accessBytes; b += 4) {
-                Addr w = (in.addr[lane] + b) / kPartitionedBankWidth;
-                sorted &= n_raw == 0 || w >= raw[n_raw - 1];
-                raw[n_raw++] = w;
-            }
-        }
-        const bool is_shared = isSharedSpace(in.op);
-        if (sorted) {
-            u32 num_words = 0;
-            u32 num_chunks = 0;
-            Addr prev_chunk = 0;
-            std::array<u32, kBanksPerSm> memCounts{};
-            for (u32 i = 0; i < n_raw; ++i) {
-                Addr w = raw[i];
-                // Non-decreasing stream: equal words are contiguous.
-                if (i != 0 && w == raw[i - 1])
-                    continue;
-                ++num_words;
-                if (is_shared) {
-                    u32 c = ++memCounts[w % kBanksPerSm];
-                    mem_max = std::max(mem_max, c);
-                }
-                // Distinct words ascend, so their >>2 images are
-                // non-decreasing: adjacent-unique again.
-                Addr ch = w >> 2;
-                if (num_chunks == 0 || ch != prev_chunk)
-                    ++num_chunks;
-                prev_chunk = ch;
-            }
-            out.distinctWords = num_words;
+        for (const CoalescedAccess& acc : lines) {
+            out.distinctWords += popcount(acc.wordMask);
             // Chunk count is reported for cross-design comparisons even
             // though the partitioned design moves data in 4-byte words.
-            out.distinctChunks = num_chunks;
-            if (!is_shared)
-                mem_max = num_words > 0 ? 1 : 0;
-        } else {
-            Addr words[2 * kWarpWidth];
-            Addr chunks[2 * kWarpWidth];
-            u32 num_words = collectWords(in, words);
-            out.distinctWords = num_words;
-            out.distinctChunks =
-                dedupShifted(words, num_words, 2, chunks);
-            if (is_shared) {
-                std::array<u32, kBanksPerSm> memCounts{};
-                for (u32 i = 0; i < num_words; ++i)
-                    ++memCounts[words[i] % kBanksPerSm];
-                mem_max =
-                    *std::max_element(memCounts.begin(), memCounts.end());
-            } else {
-                // Aligned full-line cache access: one access per bank
-                // per line; multi-line serialization is charged at the
-                // tag port.
-                mem_max = num_words > 0 ? 1 : 0;
-            }
+            out.distinctChunks += popcount(chunkBits(acc.wordMask));
         }
+        if (isSharedSpace(in.op))
+            // A line is one row of the 32 word-wide banks: a word's
+            // bank is its index within the line, and identical words
+            // broadcast.
+            mem_max = maxLinesPerWord(lines);
+        else
+            // Aligned full-line cache access: one access per bank per
+            // line; multi-line serialization is charged at the tag port.
+            mem_max = out.distinctWords > 0 ? 1 : 0;
         out.dataMaxPerBank = mem_max;
     }
 
@@ -188,68 +129,55 @@ ConflictModel::evalPartitioned(const WarpInstr& in, const u8* mrfBanks,
 }
 
 ConflictOutcome
-ConflictModel::evalUnified(const WarpInstr& in, const u8* mrfBanks,
-                           u32 numMrfReads) const
+ConflictModel::evalUnified(const WarpInstr& in,
+                           const std::vector<CoalescedAccess>& lines,
+                           const u8* mrfBanks, u32 numMrfReads) const
 {
     ConflictOutcome out;
 
-    // counts[cluster][bank]: a register read hits its bank in every
-    // cluster (the same-named register of each lane group).
-    std::array<std::array<u32, kBanksPerCluster>, kNumClusters> counts{};
+    // A register read hits its bank in every cluster (the same-named
+    // register of each lane group).
+    std::array<u32, kBanksPerCluster> regCounts{};
+    for (u32 i = 0; i < numMrfReads; ++i)
+        ++regCounts[mrfBanks[i] % kBanksPerCluster];
+
+    // dataCounts[cluster][bank]: scratchpad/cache accesses alone, so
+    // dataMaxPerBank excludes operand reads.
+    std::array<std::array<u32, kBanksPerCluster>, kNumClusters>
+        dataCounts{};
     std::array<u32, kNumClusters> chunksPerCluster{};
 
-    for (u32 i = 0; i < numMrfReads; ++i) {
-        u32 bank = mrfBanks[i] % kBanksPerCluster;
-        for (u32 c = 0; c < kNumClusters; ++c)
-            ++counts[c][bank];
-    }
-
     if (usesDataBanks(in.op)) {
-        Addr words[2 * kWarpWidth];
-        Addr chunks[2 * kWarpWidth];
-        u32 num_words = collectWords(in, words);
-        out.distinctWords = num_words;
-        u32 num_chunks = dedupShifted(words, num_words, 2, chunks);
-        out.distinctChunks = num_chunks;
+        for (const CoalescedAccess& acc : lines) {
+            out.distinctWords += popcount(acc.wordMask);
+            out.distinctChunks += popcount(chunkBits(acc.wordMask));
+        }
 
         if (isSharedSpace(in.op)) {
             // Scatter/gather access: every distinct 16-byte chunk is a
             // separate bank access, and the simple design serializes
-            // chunks cluster-wide. Data contributions are counted on
-            // their own first so dataMaxPerBank excludes operand reads.
-            std::array<std::array<u32, kBanksPerCluster>, kNumClusters>
-                dataCounts{};
-            for (u32 i = 0; i < num_chunks; ++i) {
-                Addr k = chunks[i];
-                u32 cluster = static_cast<u32>(k % kNumClusters);
-                u32 bank = static_cast<u32>((k / kNumClusters) %
-                                            kBanksPerCluster);
-                ++dataCounts[cluster][bank];
-                ++chunksPerCluster[cluster];
-            }
-            for (u32 c = 0; c < kNumClusters; ++c) {
-                for (u32 b = 0; b < kBanksPerCluster; ++b) {
-                    out.dataMaxPerBank =
-                        std::max(out.dataMaxPerBank, dataCounts[c][b]);
-                    counts[c][b] += dataCounts[c][b];
+            // chunks cluster-wide. Chunk c of a line lives in cluster
+            // c, bank line % 4.
+            for (const CoalescedAccess& acc : lines) {
+                u32 bank = unifiedBankOf(acc.lineAddr);
+                for (u32 m = chunkBits(acc.wordMask); m != 0; m &= m - 1) {
+                    u32 cluster = static_cast<u32>(__builtin_ctz(m)) / 4;
+                    out.dataMaxPerBank = std::max(
+                        out.dataMaxPerBank, ++dataCounts[cluster][bank]);
+                    ++chunksPerCluster[cluster];
                 }
             }
         } else {
             // Cache access: a 128-byte line is read/written as one
             // parallel access to bank (line % 4) in all 8 clusters;
             // multiple lines contend only at bank granularity (they
-            // already serialize on the tag port). 16-byte chunks fold
-            // into 128-byte lines with a further >>3.
-            Addr lines[2 * kWarpWidth];
-            u32 num_lines = dedupShifted(chunks, num_chunks, 3, lines);
+            // already serialize on the tag port).
             std::array<u32, kBanksPerCluster> linesPerBank{};
-            for (u32 i = 0; i < num_lines; ++i) {
-                u32 bank =
-                    static_cast<u32>(lines[i] % kBanksPerCluster);
-                ++linesPerBank[bank];
-                for (u32 c = 0; c < kNumClusters; ++c)
-                    ++counts[c][bank];
-            }
+            for (const CoalescedAccess& acc : lines)
+                if (acc.wordMask != 0)
+                    ++linesPerBank[unifiedBankOf(acc.lineAddr)];
+            for (u32 c = 0; c < kNumClusters; ++c)
+                dataCounts[c] = linesPerBank;
             out.dataMaxPerBank = *std::max_element(linesPerBank.begin(),
                                                    linesPerBank.end());
         }
@@ -258,8 +186,10 @@ ConflictModel::evalUnified(const WarpInstr& in, const u8* mrfBanks,
     u32 chain_max = 0;
     u32 bank_max = 0;
     for (u32 c = 0; c < kNumClusters; ++c) {
-        u32 cluster_bank_max =
-            *std::max_element(counts[c].begin(), counts[c].end());
+        u32 cluster_bank_max = 0;
+        for (u32 b = 0; b < kBanksPerCluster; ++b)
+            cluster_bank_max = std::max(cluster_bank_max,
+                                        regCounts[b] + dataCounts[c][b]);
         bank_max = std::max(bank_max, cluster_bank_max);
         u32 chain = cluster_bank_max;
         if (!aggressive_) {

@@ -29,9 +29,12 @@
 #ifndef UNIMEM_CORE_CONFLICT_MODEL_HH
 #define UNIMEM_CORE_CONFLICT_MODEL_HH
 
+#include <vector>
+
 #include "arch/warp_instr.hh"
 #include "core/partition.hh"
 #include "mem/bank_conflicts.hh"
+#include "mem/coalescer.hh"
 
 namespace unimem {
 
@@ -68,6 +71,21 @@ struct ConflictOutcome
     u32 distinctChunks = 0;
 };
 
+/**
+ * Pack up to three cluster-local operand bank ids (0..3) plus their
+ * count into one byte. Equal signatures imply identical bank-count
+ * vectors, which is all evaluate() reads of an op that touches no data
+ * banks, so its outcome can be tabulated per signature.
+ */
+inline u8
+mrfSignature(const u8* mrfBanks, u32 numMrfReads)
+{
+    u8 sig = static_cast<u8>(numMrfReads << 6);
+    for (u32 i = 0; i < numMrfReads; ++i)
+        sig |= static_cast<u8>((mrfBanks[i] & 3u) << (2 * i));
+    return sig;
+}
+
 /** Evaluates bank and arbitration conflicts for one SM design. */
 class ConflictModel
 {
@@ -78,7 +96,8 @@ class ConflictModel
     }
 
     /**
-     * Evaluate one instruction.
+     * Evaluate one instruction, running the coalescer's footprint pass
+     * itself for data-bank (scratchpad/cache) ops.
      *
      * @param in the warp instruction (lane addresses used for memory ops)
      * @param mrfBanks cluster-local bank ids (0..3) of this instruction's
@@ -88,84 +107,33 @@ class ConflictModel
     ConflictOutcome evaluate(const WarpInstr& in, const u8* mrfBanks,
                              u32 numMrfReads) const;
 
+    /**
+     * Evaluate one instruction whose footprint pass already ran:
+     * @p lines is coalesce(in)'s output for a data-bank op, and is not
+     * read for any other op. Every data-bank field is a reduction over
+     * the lines' word masks (DESIGN.md §9.2).
+     */
+    ConflictOutcome evaluate(const WarpInstr& in,
+                             const std::vector<CoalescedAccess>& lines,
+                             const u8* mrfBanks, u32 numMrfReads) const;
+
     DesignKind kind() const { return kind_; }
 
   private:
-    ConflictOutcome evalPartitioned(const WarpInstr& in, const u8* mrfBanks,
+    ConflictOutcome evalPartitioned(const WarpInstr& in,
+                                    const std::vector<CoalescedAccess>& lines,
+                                    const u8* mrfBanks,
                                     u32 numMrfReads) const;
-    ConflictOutcome evalUnified(const WarpInstr& in, const u8* mrfBanks,
-                                u32 numMrfReads) const;
+    ConflictOutcome evalUnified(const WarpInstr& in,
+                                const std::vector<CoalescedAccess>& lines,
+                                const u8* mrfBanks, u32 numMrfReads) const;
 
     /**
-     * Scratch for distinct-granule collection: an open-addressing set
-     * with generation-stamped slots, so each collection starts O(1)
-     * (bump the stamp) instead of clearing memory, and membership
-     * tests are O(1) probes instead of the linear scan that made
-     * conflict evaluation quadratic in the footprint size. Purely an
-     * algorithmic swap: callers consume only the distinct values and
-     * their count, which are set properties independent of how the
-     * set is represented.
-     *
-     * Sized 4x the worst case (32 lanes x 2 words each = 64 distinct
-     * values) so probe chains stay short. Mutable because evaluation
-     * is logically const; ConflictModel is per-SM and thread-confined
-     * like the footprint cache.
+     * Footprint scratch of the three-argument evaluate(). Mutable
+     * because evaluation is logically const; ConflictModel is per-SM
+     * and thread-confined.
      */
-    struct DistinctScratch
-    {
-        static constexpr u32 kSlots = 256;
-
-        std::array<Addr, kSlots> val;
-        std::array<u32, kSlots> stamp{}; // 0 = never written
-        u32 gen = 0;
-
-        /** Start a fresh (empty) set. */
-        void
-        begin()
-        {
-            if (++gen == 0) { // stamp wrap: only now is a clear needed
-                stamp.fill(0);
-                gen = 1;
-            }
-        }
-
-        /** Insert @p v; true if it was not yet in the set. */
-        bool
-        insert(Addr v)
-        {
-            // Fibonacci multiplicative hash; high bits are well mixed.
-            u32 h = static_cast<u32>(
-                        (v * 0x9e3779b97f4a7c15ull) >> 32) &
-                    (kSlots - 1);
-            for (;;) {
-                if (stamp[h] != gen) {
-                    stamp[h] = gen;
-                    val[h] = v;
-                    return true;
-                }
-                if (val[h] == v)
-                    return false;
-                h = (h + 1) & (kSlots - 1);
-            }
-        }
-    };
-
-    mutable DistinctScratch scratch_;
-
-    /**
-     * Distinct 4-byte word indices the instruction's active lanes
-     * touch, written to @p out in first-touch order. Coarser granules
-     * (16-byte chunks, 128-byte lines) are derived from this list:
-     * every granule contribution is (addr + 4k) / granule, and
-     * x/16 == (x/4)/4, x/128 == (x/4)/32 in integer arithmetic, so
-     * deduplicating word/4 (word/32) over the distinct words yields
-     * exactly the set a direct per-lane collection would.
-     */
-    u32 collectWords(const WarpInstr& in, Addr* out) const;
-
-    /** Deduplicate @p n values shifted right by @p shift into @p out. */
-    u32 dedupShifted(const Addr* vals, u32 n, u32 shift,
-                     Addr* out) const;
+    mutable std::vector<CoalescedAccess> lines_;
 
     DesignKind kind_;
     bool aggressive_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Global-memory access coalescer.
+ * Global-memory access coalescer, and the one footprint pass of a warp
+ * memory instruction.
  *
  * Merges the per-lane addresses of one warp memory instruction into
  * 128-byte cache-line transactions, tracking which 32-byte sectors of
@@ -8,6 +9,12 @@
  * exact traffic when no cache is present (32-byte granules) versus full
  * lines on cache fills, which is what makes cache-induced overfetch
  * visible (paper Section 3.1, Needle row of Table 1).
+ *
+ * A 128-byte line is also exactly one row of the 32 partitioned 4-byte
+ * banks and of the 8 unified 16-byte clusters, so each line's 32-bit
+ * mask of touched 4-byte words is everything the bank-conflict model
+ * needs (core/conflict_model): distinct words, distinct chunks and every
+ * per-bank count are reductions over those masks (DESIGN.md §9.2).
  */
 
 #ifndef UNIMEM_MEM_COALESCER_HH
@@ -25,11 +32,17 @@ struct CoalescedAccess
     /** 128-byte-aligned line address. */
     Addr lineAddr = 0;
 
-    /** Bit s set means 32-byte sector s of the line is touched. */
+    /** Bit s set means a lane's access starts in 32-byte sector s. */
     u8 sectorMask = 0;
 
-    /** Exact bytes touched within the line. */
+    /** Access bytes summed over the lanes that touch the line. */
     u32 bytesTouched = 0;
+
+    /**
+     * Bit w set means 4-byte word w of the line is touched: a lane at
+     * byte offset o of size s covers words o/4 .. o/4 + ceil(s/4) - 1.
+     */
+    u32 wordMask = 0;
 
     u32 numSectors() const
     {
@@ -39,9 +52,14 @@ struct CoalescedAccess
 
 /**
  * Coalesce one warp instruction's lane addresses into @p out (cleared
- * first). Results are ordered by first-touching lane. Taking the output
- * vector lets the per-cycle issue path reuse one scratch buffer instead
- * of allocating per memory instruction.
+ * first): one walk over the active lanes, one entry per distinct line.
+ * Results are ordered by first-touching lane. Taking the output vector
+ * lets the per-cycle issue path reuse one scratch buffer instead of
+ * allocating per memory instruction.
+ *
+ * panic()s if an active lane's access crosses its 128-byte line: trace
+ * input is checked for that at parse time (arch/trace_io), so only a
+ * kernel-model bug can produce one.
  */
 void coalesce(const WarpInstr& in, std::vector<CoalescedAccess>& out);
 

@@ -80,6 +80,9 @@ checkedConfig(const ChipConfig& cfg)
 {
     if (cfg.numSms == 0)
         fatal("ChipModel: zero SMs");
+    if (cfg.numSms > ChipConfig::kMaxSms)
+        fatal("ChipModel: %u SMs, at most %u", cfg.numSms,
+              ChipConfig::kMaxSms);
     if (cfg.quantum == 0)
         fatal("ChipModel: zero quantum");
     return cfg;

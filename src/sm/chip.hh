@@ -40,7 +40,10 @@ namespace unimem {
 /** Chip-level run configuration. */
 struct ChipConfig
 {
-    /** Number of SMs (paper: 32). */
+    /** Most SMs a chip may have (the largest GPUs have ~150). */
+    static constexpr u32 kMaxSms = 256;
+
+    /** Number of SMs (paper: 32), 1 to kMaxSms. */
     u32 numSms = 32;
 
     /** Chip-wide DRAM bandwidth in bytes/cycle (paper: 256). */

@@ -304,34 +304,9 @@ SmModel::execShared(u32 w, const WarpInstr& in, Cycle issueAt,
 }
 
 void
-SmModel::execGlobal(u32 w, const WarpInstr& in, Cycle issueAt,
-                    FootprintCache<ConflictOutcome>::MemEntry* fp)
+SmModel::execGlobal(u32 w, const WarpInstr& in, Cycle issueAt)
 {
-    using Fp = FootprintCache<ConflictOutcome>;
     WarpCold& wc = cold_[w];
-    if (fp != nullptr && fp->numLines <= Fp::kMaxInlineLines) {
-        // Replay the coalesced-line footprint decoded for an earlier
-        // dynamic instance of this exact (addresses included) key.
-        coalesceScratch_.assign(fp->lines.begin(),
-                                fp->lines.begin() + fp->numLines);
-        footprints_.noteLineReplay();
-    } else {
-        coalesce(in, coalesceScratch_);
-        if (fp != nullptr) {
-            footprints_.noteLineRecompute();
-            if (fp->numLines == Fp::kLinesUnknown) {
-                if (coalesceScratch_.size() <= Fp::kMaxInlineLines) {
-                    std::copy(coalesceScratch_.begin(),
-                              coalesceScratch_.end(),
-                              fp->lines.begin());
-                    fp->numLines =
-                        static_cast<u8>(coalesceScratch_.size());
-                } else {
-                    fp->numLines = Fp::kLinesOverflow;
-                }
-            }
-        }
-    }
     const std::vector<CoalescedAccess>& lines = coalesceScratch_;
     if (lines.empty())
         return;
@@ -533,34 +508,25 @@ SmModel::issue(u32 w)
     bool ll_load = isLoad(in.op) && isLongLatency(in.op);
     u32 num_mrf = wc.rf.accessOperands(in, ll_load, mrf_banks);
 
-    // Conflict evaluation through the footprint cache: the outcome is
-    // a pure function of the key, so a verified hit replays the exact
-    // numbers the model would recompute. Data-bank ops keep a pointer
-    // to their entry so the global path can also replay its coalesced
-    // lines without a second probe.
-    FootprintCache<ConflictOutcome>::MemEntry* fp = nullptr;
+    // A data-bank op's one footprint pass serves both the conflict
+    // model and, for global/local ops, execGlobal's line walk. Any other
+    // op's outcome depends only on its operand-bank signature.
     ConflictOutcome co;
     const bool data_banks = isMemOp(in.op) && in.op != Opcode::Tex;
-    if (!data_banks) {
-        u8 sig = mrfSignature(mrf_banks, num_mrf);
-        if (const ConflictOutcome* hit = footprints_.findCompute(sig)) {
-            co = *hit;
-        } else {
-            co = conflicts_.evaluate(in, mrf_banks, num_mrf);
-            footprints_.insertCompute(sig, co);
-        }
+    if (data_banks) {
+        coalesce(in, coalesceScratch_);
+        co = conflicts_.evaluate(in, coalesceScratch_, mrf_banks, num_mrf);
     } else {
-        u8 sig = mrfSignature(mrf_banks, num_mrf);
-        FootprintCache<ConflictOutcome>::MemProbe probe =
-            footprints_.probeMem(in, sig);
-        fp = probe.entry;
-        if (probe.hit) {
-            co = fp->outcome;
+        ComputeOutcome& e =
+            computeOutcomes_[mrfSignature(mrf_banks, num_mrf)];
+        if (e.valid) {
+            ++footprintStats_.computeHits;
         } else {
-            co = conflicts_.evaluate(in, mrf_banks, num_mrf);
-            footprints_.claimMem(*fp, in, sig);
-            fp->outcome = co;
+            ++footprintStats_.computeMisses;
+            e.outcome = conflicts_.evaluate(in, mrf_banks, num_mrf);
+            e.valid = true;
         }
+        co = e.outcome;
     }
     stats_.conflictHist.record(co.maxPerBank);
     if (sharedTrace_ != nullptr && isSharedSpace(in.op))
@@ -576,7 +542,7 @@ SmModel::issue(u32 w)
     // warps keep issuing behind them).
     issueFreeAt_ = now_ + 1 + reg_pen;
     Cycle exec_at = now_;
-    if (isMemOp(in.op) && in.op != Opcode::Tex) {
+    if (data_banks) {
         Cycle start = std::max(now_, memPortFreeAt_);
         memPortFreeAt_ = start + 1 + mem_pen;
         exec_at = start + mem_pen;
@@ -596,7 +562,7 @@ SmModel::issue(u32 w)
       case Opcode::StGlobal:
       case Opcode::LdLocal:
       case Opcode::StLocal:
-        execGlobal(w, in, exec_at, fp);
+        execGlobal(w, in, exec_at);
         break;
       case Opcode::Tex:
         execTexture(w, in, now_);

@@ -24,6 +24,7 @@
 #ifndef UNIMEM_SM_SM_HH
 #define UNIMEM_SM_SM_HH
 
+#include <array>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -33,12 +34,29 @@
 #include "core/conflict_model.hh"
 #include "mem/coalescer.hh"
 #include "mem/dram_queue.hh"
-#include "mem/footprint_cache.hh"
 #include "sched/scoreboard.hh"
 #include "sm/sm_config.hh"
 #include "sm/tex_unit.hh"
 
 namespace unimem {
+
+/**
+ * Conflict-outcome table counters of one SmModel (diagnostics only;
+ * never part of SmStats).
+ */
+struct FootprintStats
+{
+    /** Ops touching no data banks whose outcome came from the table. */
+    u64 computeHits = 0;
+    u64 computeMisses = 0;
+
+    /**
+     * Always 0: data-bank ops are evaluated, not memoized (DESIGN.md
+     * §9.2). Kept for perfbench's mem.footprint.* counters.
+     */
+    u64 memHits = 0;
+    u64 memMisses = 0;
+};
 
 /** One-shot simulator: construct, run(), read stats. */
 class SmModel
@@ -146,7 +164,7 @@ class SmModel
 
     /**
      * One issued shared-memory instruction's conflict accounting, as
-     * charged by the simulator (footprint-cache replays included).
+     * charged by the simulator.
      * Within one warp the records appear in program order, so a static
      * replay of that warp's trace can be compared element-wise — the
      * bank-conflict differential cross-check pass does exactly that.
@@ -173,14 +191,8 @@ class SmModel
      */
     u64 guardPeak() const { return guardPeak_; }
 
-    /**
-     * Static-instruction footprint cache counters (diagnostics only;
-     * they are not part of SmStats).
-     */
-    const FootprintStats& footprintStats() const
-    {
-        return footprints_.stats();
-    }
+    /** Conflict-outcome table counters (diagnostics only). */
+    const FootprintStats& footprintStats() const { return footprintStats_; }
 
   private:
     /**
@@ -350,8 +362,8 @@ class SmModel
     void execCompute(u32 w, const WarpInstr& in, Cycle issueAt);
     void execShared(u32 w, const WarpInstr& in, Cycle issueAt,
                     const ConflictOutcome& co);
-    void execGlobal(u32 w, const WarpInstr& in, Cycle issueAt,
-                    FootprintCache<ConflictOutcome>::MemEntry* fp);
+    /** Walks the lines issue() left in coalesceScratch_. */
+    void execGlobal(u32 w, const WarpInstr& in, Cycle issueAt);
     void execTexture(u32 w, const WarpInstr& in, Cycle issueAt);
     void execBarrier(u32 w);
 
@@ -362,7 +374,19 @@ class SmModel
     const KernelParams& kp_;
 
     ConflictModel conflicts_;
-    FootprintCache<ConflictOutcome> footprints_;
+
+    /**
+     * Conflict outcomes of ops that touch no data banks (ALU/SFU/
+     * texture), indexed by mrfSignature: such an outcome depends on
+     * nothing else, so each signature is evaluated once per run.
+     */
+    struct ComputeOutcome
+    {
+        ConflictOutcome outcome{};
+        bool valid = false;
+    };
+    std::array<ComputeOutcome, 256> computeOutcomes_{};
+    FootprintStats footprintStats_;
     TwoLevelScheduler sched_;
     DataCache cache_;
     DramModel ownDram_;
@@ -421,7 +445,10 @@ class SmModel
     /** Activation sink the scheduler appends to (drained each pass). */
     std::vector<u32> activations_;
 
-    /** Per-cycle scratch buffers (reused, never reallocated when hot). */
+    /**
+     * Per-cycle scratch buffers (reused, never reallocated when hot).
+     * coalesceScratch_ holds the issuing data-bank op's lines.
+     */
     std::vector<u32> activeScratch_;
     std::vector<CoalescedAccess> coalesceScratch_;
 

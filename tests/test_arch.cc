@@ -234,6 +234,7 @@ TEST(SpillInjector, BarriersNeverSpill)
 #include <sstream>
 
 #include "arch/trace_io.hh"
+#include "kernels/registry.hh"
 
 namespace unimem {
 namespace {
@@ -398,6 +399,51 @@ TEST(TraceIo, RejectsOutOfRangeAccessSizes)
         "i st.shared 65535 2 65535 65535 1 0\na 40\n"));
     EXPECT_DEATH({ TraceFileKernel k(zero); },
                  "line 5: access size 0 out of range");
+    // A 16-byte shared load of all 32 lanes once overran the conflict
+    // model's word buffer; sizes outside 1/2/4/8/16 are rejected too.
+    for (u32 bytes : {3u, 12u, 32u}) {
+        std::stringstream odd(oneWarpTrace(
+            "i ld.shared 1 0 65535 65535 1 " + std::to_string(bytes) +
+            "\na 40\n"));
+        EXPECT_EXIT({ TraceFileKernel k(odd); },
+                    ::testing::ExitedWithCode(1),
+                    "line 4: access size " + std::to_string(bytes) +
+                        " out of range");
+    }
+}
+
+TEST(TraceIo, RejectsLineCrossingAccess)
+{
+    // Lane 1's bytes 0x7c..0x83 straddle the line at 0x80.
+    std::stringstream cross(oneWarpTrace(
+        "i ld.shared 1 0 65535 65535 3 8\na 40 7c\n"));
+    EXPECT_EXIT({ TraceFileKernel k(cross); }, ::testing::ExitedWithCode(1),
+                "line 5: lane 1's 8-byte access at 0x7c crosses a 128-byte "
+                "line");
+    std::stringstream wide(oneWarpTrace(
+        "i ld.global 1 0 65535 65535 80000000 16\na 1078\n"));
+    EXPECT_EXIT({ TraceFileKernel k(wide); }, ::testing::ExitedWithCode(1),
+                "line 5: lane 31's 16-byte access at 0x1078 crosses");
+    // Ending exactly on the line boundary is fine.
+    std::stringstream fits(oneWarpTrace(
+        "i ld.shared 1 0 65535 65535 3 8\na 40 78\n"));
+    TraceFileKernel k(fits);
+    EXPECT_EQ(k.numWarps(), 1u);
+}
+
+TEST(TraceIo, AllKernelsRoundTrip)
+{
+    // Every shipped kernel dumps a trace the parser's checks accept.
+    for (const BenchmarkInfo& info : allBenchmarks()) {
+        SCOPED_TRACE(info.name);
+        auto kernel = createBenchmark(info.name, 0.02);
+        std::stringstream ss;
+        writeTrace(*kernel, ss);
+        TraceFileKernel loaded(ss);
+        const KernelParams& kp = kernel->params();
+        EXPECT_EQ(loaded.numWarps(),
+                  static_cast<size_t>(kp.gridCtas) * kp.warpsPerCta());
+    }
 }
 
 TEST(TraceIo, RejectsMemoryOpWithoutAddressLine)

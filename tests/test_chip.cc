@@ -68,6 +68,16 @@ TEST(Chip, ZeroSmsIsFatalBeforeDramIsBuilt)
                 "ChipModel: zero SMs");
 }
 
+TEST(Chip, SmCountAboveLimitIsFatal)
+{
+    auto k = createBenchmark("sgemv", 0.15);
+    ChipConfig cfg;
+    cfg.numSms = ChipConfig::kMaxSms + 1;
+    cfg.sm = smConfigFor(*k);
+    EXPECT_EXIT(ChipModel(cfg, *k), ::testing::ExitedWithCode(1),
+                "ChipModel: 257 SMs, at most 256");
+}
+
 TEST(Chip, QuantumSizeDoesNotChangeSingleSmResult)
 {
     auto k = createBenchmark("vectoradd", 0.1);

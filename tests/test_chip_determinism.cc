@@ -15,9 +15,6 @@
  *  - randomized stress: random ChipConfigs re-run with two different
  *    worker counts must agree exactly; also run under the
  *    ThreadSanitizer gate (scripts/check.sh --tsan-only)
- *  - slab pool: repeating a chip run must not grow the footprint-cache
- *    slab pool, although bound-phase workers allocate the slabs that
- *    the main thread frees
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +26,6 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/ownership.hh"
@@ -139,42 +135,6 @@ TEST(ChipDeterminism, WorkerCountBitIdentical_1_2_4_8)
             EXPECT_TRUE(runChip(cfg, w.name, w.scale) == reference)
                 << w.name << " diverges with " << workers << " workers";
         }
-    }
-}
-
-TEST(ChipDeterminism, RepeatedChipRunsDoNotGrowSlabPool)
-{
-    auto k = createBenchmark("vectoradd", 0.05);
-    ChipConfig cfg;
-    cfg.numSms = 8;
-    cfg.workers = 4;
-    cfg.sm = smConfigFor(*k);
-    cfg.chipDramBytesPerCycle = 8 * cfg.sm.dramBytesPerCycle;
-
-    // Which thread claims an SM's slab depends on timing, so each chip
-    // runs on a fresh thread and is destroyed on this one: every slab is
-    // then acquired by a thread other than the one that retires it, as
-    // the bound-phase workers' slabs are.
-    auto runElsewhere = [&] {
-        auto kernel = createBenchmark("vectoradd", 0.05);
-        std::unique_ptr<ChipModel> chip;
-        ChipFingerprint fp;
-        std::thread([&] {
-            chip = std::make_unique<ChipModel>(cfg, *kernel);
-            fp = fingerprint(chip->run());
-        }).join();
-        return fp;
-    };
-
-    ChipFingerprint first = runElsewhere();
-    size_t pooled = FootprintCache<ConflictOutcome>::pooledSlabs();
-    EXPECT_GT(pooled, 0u);
-    // Other threads cannot draw this thread's home slab, so one repeat
-    // may add a single slab; the pool must never grow beyond that.
-    for (int run = 0; run < 4; ++run) {
-        EXPECT_TRUE(runElsewhere() == first);
-        EXPECT_LE(FootprintCache<ConflictOutcome>::pooledSlabs(), pooled + 1)
-            << "after repeat " << run;
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -102,6 +103,36 @@ TEST(Reproduce, UnknownExhibitIsFatal)
     std::ostringstream os;
     EXPECT_EXIT(reproduce("fig99", ExhibitConfig{}, os),
                 ::testing::ExitedWithCode(1), "unknown exhibit 'fig99'");
+}
+
+// The exhibit writes to stderr here, so "^fatal" also says that nothing
+// was printed before the error.
+
+TEST(Reproduce, OversizedScaleIsFatalBeforeAnyOutput)
+{
+    // Used to print the figure header, then exit from a sweep worker.
+    ExhibitConfig cfg;
+    cfg.scale = 1e12;
+    cfg.jobs = 4;
+    EXPECT_EXIT(reproduce("fig8_configurations", cfg, std::cerr),
+                ::testing::ExitedWithCode(1),
+                "^fatal: workload scale 1e\\+12: [0-9]+ CTAs do not fit");
+    EXPECT_EXIT(reproduce("all", cfg, std::cerr),
+                ::testing::ExitedWithCode(1), "^fatal: workload scale");
+}
+
+TEST(Reproduce, SmCountOutOfRangeIsFatal)
+{
+    // 536870912 SMs x 8 B/cycle used to wrap the chip bandwidth to 0.
+    for (u32 sms : {0u, 257u, 536870912u}) {
+        ExhibitConfig cfg;
+        cfg.scale = kScale;
+        cfg.sms = sms;
+        EXPECT_EXIT(reproduce("ext_chip_validation", cfg, std::cerr),
+                    ::testing::ExitedWithCode(1),
+                    "^fatal: flag --sms expects 1 to 256 SMs, got " +
+                        std::to_string(sms));
+    }
 }
 
 } // namespace

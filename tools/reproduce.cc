@@ -19,6 +19,9 @@ namespace unimem {
 
 namespace {
 
+/** Figure 11's needle blocking factors. */
+constexpr u32 kNeedleFactors[] = {16, 32, 64};
+
 /** dgemm needs a larger grid than the others to reach steady state. */
 double
 benefitScale(const std::string& name, double scale)
@@ -713,7 +716,6 @@ fig11NeedleBlocking(const ExhibitConfig& cfg, std::ostream& os)
        << "(64KB cache; performance normalized to the fastest point; x = "
           "scratchpad consumed)\n";
 
-    const u32 factors[] = {16, 32, 64};
     double scale = cfg.scale;
 
     // One point per thread limit that changes the launch. Needle at a
@@ -721,7 +723,7 @@ fig11NeedleBlocking(const ExhibitConfig& cfg, std::ostream& os)
     // points simulate their own kernel instances.
     std::vector<u32> pointFactor;
     std::vector<SweepJob> sweep;
-    for (u32 bf : factors) {
+    for (u32 bf : kNeedleFactors) {
         auto kernel = makeNeedle(bf, scale);
         u32 step = std::max(128u, kernel->params().ctaThreads);
         u32 lastThreads = 0;
@@ -750,7 +752,7 @@ fig11NeedleBlocking(const ExhibitConfig& cfg, std::ostream& os)
     for (const SimResult& r : results)
         best = std::min(best, r.cycles());
 
-    for (u32 bf : factors) {
+    for (u32 bf : kNeedleFactors) {
         os << "\n--- blocking factor " << bf << " ---\n";
         Table t({"threads", "shared KB", "norm perf"});
         for (size_t i = 0; i < results.size(); ++i) {
@@ -1064,7 +1066,8 @@ extChipValidation(const ExhibitConfig& cfg, std::ostream& os)
 
         ChipConfig fair;
         fair.numSms = cfg.sms;
-        fair.chipDramBytesPerCycle = cfg.sms * smCfg.dramBytesPerCycle;
+        fair.chipDramBytesPerCycle =
+            static_cast<u32>(u64{cfg.sms} * smCfg.dramBytesPerCycle);
         fair.workers = cfg.chipJobs;
         fair.quantum = cfg.quantum;
         fair.sm = smCfg;
@@ -1169,19 +1172,41 @@ void
 reproduce(const std::string& name, const ExhibitConfig& cfg,
           std::ostream& os)
 {
-    bool found = false;
-    for (const Exhibit& e : allExhibits()) {
-        if (name != "all" && name != e.name)
-            continue;
-        ExhibitConfig resolved = cfg;
-        if (resolved.scale == 0.0)
-            resolved.scale = e.defaultScale;
-        e.run(resolved, os);
-        found = true;
-    }
-    if (!found)
+    std::vector<const Exhibit*> selected;
+    for (const Exhibit& e : allExhibits())
+        if (name == "all" || name == e.name)
+            selected.push_back(&e);
+    if (selected.empty())
         fatal("unknown exhibit '%s' (try 'unimem_cli reproduce --list')",
               name.c_str());
+    if (cfg.sms == 0 || cfg.sms > ChipConfig::kMaxSms)
+        fatal("flag --sms expects 1 to %u SMs, got %u", ChipConfig::kMaxSms,
+              cfg.sms);
+
+    // Build every kernel grid the run can reach here, before any output:
+    // an oversized --scale must fail in scaledCtas() on this thread, not
+    // in a sweep worker whose fatal() exits under the running others.
+    // The check covers every registry kernel (at dgemm's benefit scale
+    // too) and fig11's needle blocking factors, a superset of what any
+    // one exhibit builds.
+    auto resolvedScale = [&](const Exhibit& e) {
+        return cfg.scale == 0.0 ? e.defaultScale : cfg.scale;
+    };
+    for (const Exhibit* e : selected) {
+        if (e->defaultScale == 0.0)
+            continue; // simulates nothing
+        double s = resolvedScale(*e);
+        for (const BenchmarkInfo& info : allBenchmarks())
+            createBenchmark(info.name, benefitScale(info.name, s));
+        for (u32 bf : kNeedleFactors)
+            makeNeedle(bf, s);
+    }
+
+    for (const Exhibit* e : selected) {
+        ExhibitConfig resolved = cfg;
+        resolved.scale = resolvedScale(*e);
+        e->run(resolved, os);
+    }
 }
 
 } // namespace unimem

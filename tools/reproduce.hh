@@ -59,7 +59,9 @@ void listExhibits(std::ostream& os);
 /**
  * Run exhibit @p name, or every exhibit in registry order for "all",
  * in this process (so the result cache dedupes points across
- * exhibits). An unknown name is fatal.
+ * exhibits). An unknown name, an SM count outside 1 to
+ * ChipConfig::kMaxSms, and a scale that gives a kernel 2^32 or more
+ * CTAs are fatal before anything is printed.
  */
 void reproduce(const std::string& name, const ExhibitConfig& cfg,
                std::ostream& os);

@@ -229,6 +229,9 @@ cmdChip(const CliArgs& args)
     std::string name = requireBenchmark(args);
     double scale = args.getDouble("scale", 0.35);
     u32 sms = args.getCount("sms", 8);
+    if (sms == 0 || sms > ChipConfig::kMaxSms)
+        fatal("flag --sms expects 1 to %u SMs, got %u", ChipConfig::kMaxSms,
+              sms);
 
     auto k = createBenchmark(name, scale);
     RunSpec spec = specFromArgs(args);
@@ -238,7 +241,8 @@ cmdChip(const CliArgs& args)
 
     ChipConfig cc;
     cc.numSms = sms;
-    cc.chipDramBytesPerCycle = args.getCount("chip-bw", sms * 8);
+    cc.chipDramBytesPerCycle = args.getCount(
+        "chip-bw", static_cast<u32>(u64{sms} * kDramBytesPerCycle));
     cc.workers = args.getCount("chip-jobs", 0);
     cc.quantum = args.getCount("quantum", 64);
     cc.sm.design = spec.design == DesignKind::FermiLike
