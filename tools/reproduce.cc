@@ -1066,8 +1066,8 @@ extChipValidation(const ExhibitConfig& cfg, std::ostream& os)
 
         ChipConfig fair;
         fair.numSms = cfg.sms;
-        fair.chipDramBytesPerCycle =
-            static_cast<u32>(u64{cfg.sms} * smCfg.dramBytesPerCycle);
+        // reproduce() bounds cfg.sms, so the product cannot wrap.
+        fair.chipDramBytesPerCycle = cfg.sms * smCfg.dramBytesPerCycle;
         fair.workers = cfg.chipJobs;
         fair.quantum = cfg.quantum;
         fair.sm = smCfg;

@@ -241,8 +241,9 @@ cmdChip(const CliArgs& args)
 
     ChipConfig cc;
     cc.numSms = sms;
-    cc.chipDramBytesPerCycle = args.getCount(
-        "chip-bw", static_cast<u32>(u64{sms} * kDramBytesPerCycle));
+    // sms <= kMaxSms, so the default cannot wrap.
+    cc.chipDramBytesPerCycle =
+        args.getCount("chip-bw", sms * kDramBytesPerCycle);
     cc.workers = args.getCount("chip-jobs", 0);
     cc.quantum = args.getCount("quantum", 64);
     cc.sm.design = spec.design == DesignKind::FermiLike
