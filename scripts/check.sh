@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Repo verification gate:
-#   1. tier-1: configure, build, and run the full ctest suite
-#   2. lint: run every analysis pass — including the simulation-backed
-#      bank-conflict cross-check and the chip-ownership auditor — over
-#      all shipped kernels with warnings promoted to errors
-#      (tools/unimem_lint --all-passes); the machine-readable report is
-#      written to build/lint_report.json for CI to archive
+#   1. tier-1: configure, build, and run the full ctest suite, then
+#      configure and build a Release (-O3) tree in build-release/ so an
+#      optimizer-only warning fails here, under -Werror, and not first
+#      in CI
+#   2. lint: the trace validator over all shipped kernels with warnings
+#      promoted to errors (tools/unimem_lint --Werror); the
+#      machine-readable report is written to build/lint_report.json for
+#      CI to archive
 #   3. concurrency: rebuild the sweep and bound-weave chip engines
 #      under ThreadSanitizer and run test_sweep plus
 #      test_chip_determinism (randomized ChipConfig stress) to catch
@@ -25,9 +27,9 @@
 #
 # Usage: scripts/check.sh [--tier1-only] [--tsan-only] [--asan-only]
 #                         [--lint-only] [--ownership-only] [--tidy]
-# Sanitizer and debug trees live in build-tsan/, build-asan/, and
-# build-debug/ so they never pollute the main build; all build trees
-# are .gitignore'd.
+# Release, sanitizer and debug trees live in build-release/,
+# build-tsan/, build-asan/, and build-debug/ so they never pollute the
+# main build; all build trees are .gitignore'd.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,20 +58,22 @@ if [[ $run_tier1 -eq 1 ]]; then
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS"
     ctest --test-dir build --output-on-failure -j "$JOBS"
+
+    echo "=== tier-1: Release build (-O3, -Werror) ==="
+    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build build-release -j "$JOBS"
 fi
 
 if [[ $run_lint -eq 1 ]]; then
-    echo "=== lint: all analysis passes (-Werror) ==="
+    echo "=== lint: trace validator (-Werror) ==="
     if [[ ! -x build/tools/unimem_lint ]]; then
         cmake -B build -S . >/dev/null
         cmake --build build -j "$JOBS" --target unimem_lint
     fi
-    # --all-passes adds the simulation-backed gates (bank-conflict
-    # differential cross-check, chip-ownership audit) to the static
-    # ones. The JSON report is the CI artifact; the summary line it
-    # prints on stderr is the console evidence.
-    ./build/tools/unimem_lint --Werror --all-passes --jobs="$JOBS" \
-        --json > build/lint_report.json
+    # The JSON report is the CI artifact; the summary line it prints on
+    # stderr is the console evidence.
+    ./build/tools/unimem_lint --Werror --jobs="$JOBS" --json \
+        > build/lint_report.json
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
@@ -92,7 +96,8 @@ if [[ $run_ownership -eq 1 ]]; then
     cmake --build build-debug -j "$JOBS" --target test_chip_determinism
     # Auditing defaults on in Debug; the env var pins it on explicitly.
     # Any cross-actor access panics, so a violation is a hard failure
-    # at every worker count the suite sweeps (1/2/4/8).
+    # at every worker count the suite sweeps (1/2/4/8) and on every
+    # shipped kernel's 4-SM, 2-worker run.
     UNIMEM_OWNERSHIP_AUDIT=1 ./build-debug/tests/test_chip_determinism
 fi
 

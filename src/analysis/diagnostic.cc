@@ -28,6 +28,7 @@ diagName(DiagId id)
         return "global-in-local-aperture";
       case DiagId::ImpossibleLaneSpread: return "impossible-lane-spread";
       case DiagId::MisalignedAddress: return "misaligned-address";
+      case DiagId::LineCrossingAccess: return "line-crossing-access";
       case DiagId::BadArity: return "bad-arity";
       case DiagId::MissingDst: return "missing-dst";
       case DiagId::UnexpectedDst: return "unexpected-dst";
@@ -44,9 +45,6 @@ diagName(DiagId id)
       case DiagId::AllocOverSubscribed: return "alloc-over-subscribed";
       case DiagId::AllocPartitionOverlap:
         return "alloc-partition-overlap";
-      case DiagId::BankConflictMismatch:
-        return "bank-conflict-mismatch";
-      case DiagId::OwnershipViolation: return "ownership-violation";
     }
     panic("diagName: bad diag id %d", static_cast<int>(id));
 }
@@ -62,8 +60,9 @@ diagDefaultSeverity(DiagId id)
       case DiagId::OrfWindowWaw:
       case DiagId::DeadLoadOverwrite:
         return Severity::Info;
-      // Suspicious but survivable: the coalescer/cache handle these;
-      // they usually indicate an address-generation sloppiness, not a
+      // Suspicious but survivable: a misaligned access inside one line
+      // is timed like any other (only a line-crossing one is illegal);
+      // it usually indicates address-generation sloppiness, not a
       // model-corrupting bug. A truncated whole-trace scan likewise
       // weakens a proof without evidencing a defect.
       case DiagId::MisalignedAddress:
@@ -93,13 +92,6 @@ verifyDiagRegistry()
                       i, name);
         severityName(diagDefaultSeverity(static_cast<DiagId>(i)));
     }
-    // Anchors external tooling keys on: appending ids is fine,
-    // renumbering is not.
-    if (static_cast<u32>(DiagId::ReadBeforeWrite) != 0 ||
-        static_cast<u32>(DiagId::LowOrfCapture) != 14 ||
-        static_cast<u32>(DiagId::BarrierDivergence) != 15 ||
-        static_cast<u32>(DiagId::OwnershipViolation) != 23)
-        panic("verifyDiagRegistry: stable ids were renumbered");
 }
 
 std::string
@@ -131,17 +123,12 @@ DiagnosticEngine::report(DiagId id, const DiagLoc& loc, std::string message)
     Severity sev = diagDefaultSeverity(id);
     if (opt_.werror && sev == Severity::Warning)
         sev = Severity::Error;
-    if (sev < opt_.minSeverity) {
-        ++filtered_;
-        return;
-    }
     auto it = index_.find(key);
     if (it != index_.end()) {
         ++diags_[it->second].occurrences;
         return;
     }
-    if (sitesPerId_[static_cast<u32>(id)] >= opt_.maxSitesPerId ||
-        (opt_.maxTotalSites != 0 && diags_.size() >= opt_.maxTotalSites)) {
+    if (sitesPerId_[static_cast<u32>(id)] >= opt_.maxSitesPerId) {
         ++suppressed_;
         return;
     }
@@ -174,30 +161,6 @@ DiagnosticEngine::countOf(DiagId id) const
         if (d.id == id)
             ++n;
     return n;
-}
-
-void
-DiagnosticEngine::merge(const DiagnosticEngine& other)
-{
-    for (const Diagnostic& d : other.diags_) {
-        // Re-report to share the dedup map, then restore the original
-        // occurrence count on a fresh insertion.
-        size_t before = diags_.size();
-        report(d.id, d.loc, d.message);
-        if (diags_.size() > before)
-            diags_.back().occurrences = d.occurrences;
-        else {
-            std::string key =
-                std::to_string(static_cast<u32>(d.id)) + "|" +
-                d.loc.kernel + "|" + std::to_string(d.loc.ctaId) + "|" +
-                std::to_string(d.loc.warpInCta) + "|" + d.message;
-            auto it = index_.find(key);
-            if (it != index_.end())
-                diags_[it->second].occurrences += d.occurrences - 1;
-        }
-    }
-    suppressed_ += other.suppressed_;
-    filtered_ += other.filtered_;
 }
 
 void

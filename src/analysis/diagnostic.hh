@@ -36,12 +36,8 @@ const char* severityName(Severity s);
 
 /**
  * Every check the analyzer can report (DESIGN.md Sections 7 and 11).
- *
- * The underlying value of an id is part of the stable machine-readable
- * interface (JSON reports, suppression lists), so new ids are only ever
- * appended and the type is wide enough that the registry can keep
- * growing; verifyDiagRegistry() asserts the name table stays dense,
- * unique and stable.
+ * Ids leave the process only by name (diagName), so the numbering is
+ * free to change.
  */
 enum class DiagId : u16
 {
@@ -56,8 +52,9 @@ enum class DiagId : u16
     SharedUnallocated,     ///< shared access with sharedBytesPerCta == 0
     LocalOutsideAperture,  ///< local access below kLocalBase
     GlobalInLocalAperture, ///< global/tex access inside the local window
-    ImpossibleLaneSpread,  ///< one warp access spanning > spreadLimit
+    ImpossibleLaneSpread,  ///< one warp access spanning > 1 GB
     MisalignedAddress,     ///< lane address not accessBytes-aligned
+    LineCrossingAccess,    ///< lane access crossing its 128-byte line
 
     // (d) instruction well-formedness
     BadArity,          ///< numSrc outside the opcode's shape
@@ -65,12 +62,12 @@ enum class DiagId : u16
     UnexpectedDst,     ///< store/barrier carrying a destination
     InvalidSrcOperand, ///< src[i] == kInvalidReg for i < numSrc
     EmptyActiveMask,   ///< memory op with no active lanes
-    BadAccessBytes,    ///< memory op with accessBytes not in {4, 8}
+    BadAccessBytes,    ///< memory op failing validAccessBytes()
 
     // (e) derived-metric advisories
     LowOrfCapture, ///< ORF-reachable read fraction below the paper's band
 
-    // (f) barrier synchronization (analysis/pass_barrier.cc)
+    // (f) barrier synchronization
     BarrierDivergence,  ///< warps of one CTA reach unequal Bar counts
     TraceBoundExceeded, ///< whole-trace scan hit its instruction budget
 
@@ -82,16 +79,10 @@ enum class DiagId : u16
     AllocInfeasibleLaunch,  ///< allocation cannot fit the launch shape
     AllocOverSubscribed,    ///< partitions exceed the pool capacity
     AllocPartitionOverlap,  ///< cache/scratch/RF partition overlap
-
-    // (i) differential simulator cross-checks
-    BankConflictMismatch, ///< static predictor vs simulator accounting
-
-    // (j) bound-phase determinism (common/ownership.hh auditor)
-    OwnershipViolation, ///< cross-SM access during the bound phase
 };
 
 constexpr u32 kNumDiagIds =
-    static_cast<u32>(DiagId::OwnershipViolation) + 1;
+    static_cast<u32>(DiagId::AllocPartitionOverlap) + 1;
 
 /** Stable kebab-case name, e.g. "read-before-write". */
 const char* diagName(DiagId id);
@@ -101,9 +92,8 @@ Severity diagDefaultSeverity(DiagId id);
 
 /**
  * Assert the diagnostic registry's integrity: every id in
- * [0, kNumDiagIds) has a non-empty kebab-case name, no two ids share a
- * name, and the anchor ids that external tooling keys on have not been
- * renumbered. Panics on violation; called from unimem_lint and tests.
+ * [0, kNumDiagIds) has a non-empty kebab-case name and no two ids share
+ * a name. Panics on violation.
  */
 void verifyDiagRegistry();
 
@@ -146,18 +136,6 @@ struct DiagnosticOptions
 
     /** Distinct stored sites per DiagId; further ones are counted. */
     u32 maxSitesPerId = 16;
-
-    /**
-     * Findings below this severity (after -Werror promotion) are
-     * discarded without being stored or counted as suppressed.
-     */
-    Severity minSeverity = Severity::Info;
-
-    /**
-     * Global cap on stored sites across all ids (--max-diags);
-     * 0 means unlimited. Overflow sites count as suppressed.
-     */
-    u64 maxTotalSites = 0;
 };
 
 /**
@@ -190,18 +168,10 @@ class DiagnosticEngine
     /** Deduplicated sites with the given id. */
     u64 countOf(DiagId id) const;
 
-    /** Sites dropped by the per-id or global cap. */
+    /** Sites dropped by the per-id cap. */
     u64 suppressedCount() const { return suppressed_; }
 
-    /** Reports discarded by the minSeverity filter. */
-    u64 filteredCount() const { return filtered_; }
-
     bool hasErrors() const { return count(Severity::Error) > 0; }
-
-    const DiagnosticOptions& options() const { return opt_; }
-
-    /** Fold another engine's findings into this one (same dedup rules). */
-    void merge(const DiagnosticEngine& other);
 
     /** One line per finding, plus a suppression note when applicable. */
     void print(std::ostream& os) const;
@@ -217,7 +187,6 @@ class DiagnosticEngine
     std::array<u64, kNumDiagIds> sitesPerId_{};
 
     u64 suppressed_ = 0;
-    u64 filtered_ = 0;
 };
 
 } // namespace unimem

@@ -1,27 +1,40 @@
 #include "analysis/lint.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "analysis/liveness.hh"
-#include "analysis/pass.hh"
 #include "common/log.hh"
 #include "common/table.hh"
+#include "core/conflict_model.hh"
+#include "sim/simulator.hh"
 
 namespace unimem {
 
 namespace {
+
+/** ORF entries behind the LRF for the capture metric (paper: 4). */
+constexpr u32 kOrfEntries = 4;
+
+/**
+ * Widest address spread one warp-instruction may legally cover in the
+ * global/texture space. One access targets one data structure; a larger
+ * spread means a broken per-lane address computation (signed underflow,
+ * unscaled index).
+ */
+constexpr Addr kLaneSpreadLimit = Addr(1) << 30;
+
+/** ORF-reachable fraction below this raises low-orf-capture (info). */
+constexpr double kOrfAdvisoryFloor = 0.5;
 
 /** Per-instruction invariant checker for one warp. */
 class WarpChecker
 {
   public:
     WarpChecker(const KernelParams& kp, const WarpCtx& ctx,
-                const LintOptions& opt, DiagnosticEngine& diags,
-                LintMetrics& metrics)
-        : kp_(kp), opt_(opt), diags_(diags), metrics_(metrics),
-          liveness_(kp.regsPerThread, kp.liveInRegCount(), opt.orfEntries),
+                DiagnosticEngine& diags, LintMetrics& metrics)
+        : kp_(kp), diags_(diags), metrics_(metrics),
+          liveness_(kp.regsPerThread, kp.liveInRegCount(), kOrfEntries),
           written_(kp.regsPerThread, false),
           ctaSharedBase_(static_cast<Addr>(ctx.ctaId) *
                          kp.sharedBytesPerCta)
@@ -89,10 +102,10 @@ class WarpChecker
                 diags_.report(DiagId::EmptyActiveMask, loc_,
                               strprintf("%s with no active lanes",
                                         opcodeName(in.op)));
-            if (in.accessBytes != 4 && in.accessBytes != 8)
+            if (!validAccessBytes(in.accessBytes))
                 diags_.report(DiagId::BadAccessBytes, loc_,
                               strprintf("%s accesses %u bytes per lane "
-                                        "(must be 4 or 8)",
+                                        "(must be 1, 2, 4, 8 or 16)",
                                         opcodeName(in.op),
                                         in.accessBytes));
         }
@@ -135,17 +148,42 @@ class WarpChecker
     checkMemory(const WarpInstr& in)
     {
         ++metrics_.memOps;
+        // The trace parser's rule: only a legal access reaches the
+        // footprint pass (which panics on a line crossing) and the
+        // alignment check.
+        const bool legal =
+            validAccessBytes(in.accessBytes) && checkLines(in);
         if (isSharedSpace(in.op))
-            checkShared(in);
+            checkShared(in, legal);
         else if (in.op == Opcode::LdLocal || in.op == Opcode::StLocal)
             checkLocal(in);
         else
             checkGlobal(in);
-        checkAlignment(in);
+        if (legal)
+            checkAlignment(in);
+    }
+
+    /** Report the first lane whose access crosses its line. */
+    bool
+    checkLines(const WarpInstr& in)
+    {
+        for (u32 lane = 0; lane < kWarpWidth; ++lane) {
+            if (!in.laneActive(lane) ||
+                accessInOneLine(in.addr[lane], in.accessBytes))
+                continue;
+            diags_.report(DiagId::LineCrossingAccess, loc_,
+                          strprintf("lane %u's %u-byte access at %#llx "
+                                    "crosses a 128-byte line",
+                                    lane, in.accessBytes,
+                                    static_cast<unsigned long long>(
+                                        in.addr[lane])));
+            return false;
+        }
+        return true;
     }
 
     void
-    checkShared(const WarpInstr& in)
+    checkShared(const WarpInstr& in, bool legal)
     {
         ++metrics_.sharedOps;
         if (kp_.sharedBytesPerCta == 0) {
@@ -173,27 +211,16 @@ class WarpChecker
                 break; // one finding per instruction
             }
         }
-        recordSharedConflicts(in);
+        if (legal)
+            recordSharedConflicts(in);
     }
 
     void
     recordSharedConflicts(const WarpInstr& in)
     {
-        // Statically provable conflict degree under the partitioned
-        // mapping: distinct 4-byte words, bank = word % kBanksPerSm;
-        // degree = max accesses to one bank (mem/bank_conflicts.hh uses
-        // the same counting dynamically).
-        std::set<Addr> words;
-        for (u32 lane = 0; lane < kWarpWidth; ++lane)
-            if (in.laneActive(lane))
-                for (u32 b = 0; b < in.accessBytes; b += 4)
-                    words.insert((in.addr[lane] + b) / 4);
-        std::array<u32, kBanksPerSm> perBank{};
-        u32 degree = 0;
-        for (Addr w : words) {
-            u32 bank = static_cast<u32>(w % kBanksPerSm);
-            degree = std::max(degree, ++perBank[bank]);
-        }
+        // The degree the simulator charges under the partitioned
+        // mapping: max distinct 4-byte words in one bank.
+        const u32 degree = conflicts_.evaluate(in, nullptr, 0).dataMaxPerBank;
         if (degree <= 1)
             ++metrics_.sharedConflictFree;
         metrics_.sharedDegreeSum += degree;
@@ -242,21 +269,19 @@ class WarpChecker
             hi = std::max(hi, a);
             any = true;
         }
-        if (any && hi - lo > opt_.laneSpreadLimit)
+        if (any && hi - lo > kLaneSpreadLimit)
             diags_.report(
                 DiagId::ImpossibleLaneSpread, loc_,
                 strprintf("lane addresses span 0x%llx bytes in one warp "
                           "access (limit 0x%llx)",
                           static_cast<unsigned long long>(hi - lo),
                           static_cast<unsigned long long>(
-                              opt_.laneSpreadLimit)));
+                              kLaneSpreadLimit)));
     }
 
     void
     checkAlignment(const WarpInstr& in)
     {
-        if (in.accessBytes != 4 && in.accessBytes != 8)
-            return; // already an error
         for (u32 lane = 0; lane < kWarpWidth; ++lane) {
             if (!in.laneActive(lane))
                 continue;
@@ -275,10 +300,10 @@ class WarpChecker
     }
 
     const KernelParams& kp_;
-    const LintOptions& opt_;
     DiagnosticEngine& diags_;
     LintMetrics& metrics_;
     TraceLiveness liveness_;
+    ConflictModel conflicts_{DesignKind::Partitioned};
     std::vector<bool> written_;
     Addr ctaSharedBase_;
     DiagLoc loc_;
@@ -286,20 +311,6 @@ class WarpChecker
 };
 
 } // namespace
-
-void
-LintMetrics::merge(const LintMetrics& o)
-{
-    instrs += o.instrs;
-    memOps += o.memOps;
-    sharedOps += o.sharedOps;
-    regPressure = std::max(regPressure, o.regPressure);
-    regReads += o.regReads;
-    orfCaptured += o.orfCaptured;
-    sharedConflictFree += o.sharedConflictFree;
-    sharedDegreeSum += o.sharedDegreeSum;
-    sharedDegreeMax = std::max(sharedDegreeMax, o.sharedDegreeMax);
-}
 
 std::vector<WarpCtx>
 lintWarpSamples(const KernelParams& kp, const LintOptions& opt)
@@ -331,7 +342,7 @@ lintWarp(const KernelModel& kernel, const WarpCtx& ctx,
          const LintOptions& opt, DiagnosticEngine& diags,
          LintMetrics& metrics)
 {
-    WarpChecker checker(kernel.params(), ctx, opt, diags, metrics);
+    WarpChecker checker(kernel.params(), ctx, diags, metrics);
     InstrStream stream(kernel.warpProgram(ctx));
     for (u32 i = 0; i < opt.maxInstrsPerWarp; ++i) {
         const WarpInstr* in = stream.peek();
@@ -343,65 +354,219 @@ lintWarp(const KernelModel& kernel, const WarpCtx& ctx,
     checker.finish();
 }
 
+void
+lintBarriers(const KernelModel& kernel, const LintOptions& opt,
+             DiagnosticEngine& diags)
+{
+    // The SM releases a barrier when every resident warp of the CTA has
+    // arrived, so unequal Bar counts leave warps waiting forever, or pair
+    // warps across different program barriers. Warp traces are
+    // straight-line (divergence is folded into active masks), so equal
+    // counts prove every warp reaches each barrier equally often. A
+    // mismatch can hide arbitrarily deep: whole traces are scanned, under
+    // a kernel-wide budget, and every warp of a chosen CTA is counted.
+    const KernelParams& kp = kernel.params();
+    std::vector<u32> ctas;
+    if (kp.gridCtas <= 8) {
+        for (u32 c = 0; c < kp.gridCtas; ++c)
+            ctas.push_back(c);
+    } else {
+        ctas = {0, kp.gridCtas / 2, kp.gridCtas - 1};
+    }
+
+    const u64 budget = opt.barrierScanBudget;
+    u64 instrs = 0;
+    bool truncated = false;
+    std::vector<u64> barCounts(kp.warpsPerCta());
+    for (u64 seed : opt.seeds) {
+        for (u32 cta : ctas) {
+            bool complete = true;
+            for (u32 w = 0; w < kp.warpsPerCta() && complete; ++w) {
+                WarpCtx wc;
+                wc.ctaId = cta;
+                wc.warpInCta = w;
+                wc.warpsPerCta = kp.warpsPerCta();
+                wc.threadsPerCta = kp.ctaThreads;
+                wc.seed = seed;
+
+                u64 bars = 0;
+                InstrStream stream(kernel.warpProgram(wc));
+                const WarpInstr* in;
+                while ((in = stream.peek()) != nullptr) {
+                    if (instrs >= budget) {
+                        complete = false;
+                        truncated = true;
+                        break;
+                    }
+                    if (in->op == Opcode::Bar)
+                        ++bars;
+                    ++instrs;
+                    stream.pop();
+                }
+                barCounts[w] = bars;
+            }
+            if (!complete)
+                continue; // partial counts prove nothing
+
+            auto [lo, hi] =
+                std::minmax_element(barCounts.begin(), barCounts.end());
+            if (*lo != *hi) {
+                DiagLoc loc;
+                loc.kernel = kp.name;
+                loc.ctaId = cta;
+                loc.warpInCta = static_cast<u32>(
+                    std::distance(barCounts.begin(), lo));
+                diags.report(
+                    DiagId::BarrierDivergence, loc,
+                    strprintf("CTA %u warps reach between %llu and %llu "
+                              "barriers (seed %llu); the CTA deadlocks "
+                              "at barrier %llu",
+                              cta, static_cast<unsigned long long>(*lo),
+                              static_cast<unsigned long long>(*hi),
+                              static_cast<unsigned long long>(seed),
+                              static_cast<unsigned long long>(*lo)));
+            }
+        }
+    }
+
+    if (truncated) {
+        DiagLoc loc;
+        loc.kernel = kp.name;
+        diags.report(
+            DiagId::TraceBoundExceeded, loc,
+            strprintf("barrier scan hit its %llu-instruction budget; "
+                      "CTAs past the cutoff are unproven",
+                      static_cast<unsigned long long>(budget)));
+    }
+}
+
 namespace {
 
 /**
- * The original analyzer as a pass: per-instruction invariants over the
- * sampled warp prefixes plus the derived-metric advisories.
+ * The allocation a default RunSpec of @p design implies must launch,
+ * fit its partitions, and tile the @p poolBytes pool exactly.
  */
-class WarpInvariantsPass : public AnalysisPass
+void
+checkAllocation(const KernelParams& kp, DesignKind design, u64 poolBytes,
+                DiagnosticEngine& diags)
 {
-  public:
-    const char* name() const override { return "warp-invariants"; }
+    RunSpec spec;
+    spec.design = design;
+    const AllocationDecision alloc = resolveAllocation(kp, spec);
+    const MemoryPartition& part = alloc.partition;
+    const LaunchConfig& launch = alloc.launch;
 
-    const char*
-    description() const override
-    {
-        return "per-instruction shape/register/address invariants over "
-               "sampled warp trace prefixes";
+    DiagLoc loc;
+    loc.kernel = kp.name;
+    if (!launch.feasible || launch.ctas == 0 || launch.threads == 0) {
+        diags.report(DiagId::AllocInfeasibleLaunch, loc,
+                     strprintf("%s allocation cannot launch the kernel "
+                               "(%u CTAs, %u threads)",
+                               designName(design), launch.ctas,
+                               launch.threads));
+        return; // consumption fields are meaningless
     }
-
-    void
-    run(AnalysisContext& ctx, DiagnosticEngine& diags,
-        PassResult& out) override
-    {
-        const KernelParams& kp = ctx.kp();
-        const LintOptions& opt = ctx.options();
-        for (const WarpCtx& wc : ctx.warpSamples())
-            lintWarp(ctx.kernel(), wc, opt, diags, out.metrics);
-
-        if (out.metrics.regReads > 0 &&
-            out.metrics.orfReachableFraction() < opt.orfAdvisoryFloor) {
-            DiagLoc loc;
-            loc.kernel = kp.name;
-            diags.report(
-                DiagId::LowOrfCapture, loc,
-                strprintf("ORF-reachable read fraction %.2f is below "
-                          "the Section 2.1 band (floor %.2f)",
-                          out.metrics.orfReachableFraction(),
-                          opt.orfAdvisoryFloor));
-        }
-
-        out.stat("instrs", static_cast<double>(out.metrics.instrs));
-        out.stat("mem_ops", static_cast<double>(out.metrics.memOps));
-        out.stat("shared_ops",
-                 static_cast<double>(out.metrics.sharedOps));
-        out.stat("reg_pressure",
-                 static_cast<double>(out.metrics.regPressure));
-        out.stat("orf_fraction", out.metrics.orfReachableFraction());
-        out.stat("shared_degree_avg",
-                 out.metrics.avgSharedConflictDegree());
-        out.stat("shared_degree_max",
-                 static_cast<double>(out.metrics.sharedDegreeMax));
-    }
-};
+    if (launch.rfBytes > part.rfBytes ||
+        launch.sharedBytes > part.sharedBytes)
+        diags.report(
+            DiagId::AllocOverSubscribed, loc,
+            strprintf("%s launch consumes %llu RF + %llu shared bytes "
+                      "against partitions of %llu + %llu",
+                      designName(design),
+                      static_cast<unsigned long long>(launch.rfBytes),
+                      static_cast<unsigned long long>(launch.sharedBytes),
+                      static_cast<unsigned long long>(part.rfBytes),
+                      static_cast<unsigned long long>(part.sharedBytes)));
+    if (part.total() != poolBytes)
+        diags.report(
+            DiagId::AllocPartitionOverlap, loc,
+            strprintf("%s partitions sum to %llu bytes, not the "
+                      "%llu-byte pool: partitions overlap or leak",
+                      designName(design),
+                      static_cast<unsigned long long>(part.total()),
+                      static_cast<unsigned long long>(poolBytes)));
+}
 
 } // namespace
 
-std::unique_ptr<AnalysisPass>
-makeWarpInvariantsPass()
+void
+lintRegisterHazards(const KernelModel& kernel,
+                    const std::vector<WarpCtx>& samples,
+                    const LintOptions& opt, DiagnosticEngine& diags)
 {
-    return std::make_unique<WarpInvariantsPass>();
+    // A long-latency load overwritten before any read threw its DRAM
+    // transaction away (the simulator still times it); a zero-read
+    // redefinition while the value sits in the LRF+ORF window is a WAW
+    // the capture hierarchy absorbs silently. Both are advisories.
+    const KernelParams& kp = kernel.params();
+    for (const WarpCtx& wc : samples) {
+        DiagLoc loc;
+        loc.kernel = kp.name;
+        loc.ctaId = wc.ctaId;
+        loc.warpInCta = wc.warpInCta;
+
+        TraceLiveness liveness(kp.regsPerThread, kp.liveInRegCount(),
+                               kOrfEntries);
+        liveness.setHazardSink([&](const HazardEvent& ev) {
+            loc.instrIndex = ev.redefPos;
+            const auto def = static_cast<unsigned long long>(ev.defPos);
+            if (ev.kind == HazardEvent::Kind::DeadLoadOverwrite)
+                diags.report(DiagId::DeadLoadOverwrite, loc,
+                             strprintf("r%u loaded at i%llu is overwritten "
+                                       "with zero reads; the load's "
+                                       "memory traffic is wasted",
+                                       ev.reg, def));
+            else
+                diags.report(DiagId::OrfWindowWaw, loc,
+                             strprintf("r%u defined at i%llu is redefined "
+                                       "with zero reads inside the "
+                                       "LRF+ORF window",
+                                       ev.reg, def));
+        });
+
+        InstrStream stream(kernel.warpProgram(wc));
+        for (u32 i = 0; i < opt.maxInstrsPerWarp; ++i) {
+            const WarpInstr* in = stream.peek();
+            if (in == nullptr)
+                break;
+            liveness.step(*in);
+            stream.pop();
+        }
+        liveness.finish();
+    }
+
+    checkAllocation(kp, DesignKind::Partitioned,
+                    baselinePartition().total(), diags);
+    checkAllocation(kp, DesignKind::Unified, 384_KB, diags);
+}
+
+LintReport
+lintKernel(const KernelModel& kernel, const LintOptions& opt)
+{
+    const KernelParams& kp = kernel.params();
+    LintReport report;
+    report.kernel = kp.name;
+    DiagnosticOptions diagOpt;
+    diagOpt.werror = opt.werror;
+    report.diags = DiagnosticEngine(diagOpt);
+
+    const std::vector<WarpCtx> samples = lintWarpSamples(kp, opt);
+    LintMetrics& m = report.metrics;
+    for (const WarpCtx& wc : samples)
+        lintWarp(kernel, wc, opt, report.diags, m);
+    if (m.regReads > 0 && m.orfReachableFraction() < kOrfAdvisoryFloor) {
+        DiagLoc loc;
+        loc.kernel = kp.name;
+        report.diags.report(
+            DiagId::LowOrfCapture, loc,
+            strprintf("ORF-reachable read fraction %.2f is below the "
+                      "Section 2.1 band (floor %.2f)",
+                      m.orfReachableFraction(), kOrfAdvisoryFloor));
+    }
+
+    lintBarriers(kernel, opt, report.diags);
+    lintRegisterHazards(kernel, samples, opt, report.diags);
+    return report;
 }
 
 std::string

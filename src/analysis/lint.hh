@@ -1,21 +1,30 @@
 /**
  * @file
- * Static analyzer for kernel models ("unimem-lint").
+ * The trace validator ("unimem-lint").
  *
  * The simulator trusts every KernelModel twice: the Section 4.5
  * allocator sizes the MRF slice and scratchpad from the *declared*
  * KernelParams, and the LRF/ORF hierarchy assumes compiler-known
  * register lifetimes (Section 2.1). lintKernel() machine-checks that
- * trust: it replays a bounded prefix of several warps' traces — first,
- * middle, and last CTA, first and last warp, multiple seeds — through a
- * def-use/liveness pass and a set of invariant checks, each reported as
- * a named diagnostic (analysis/diagnostic.hh). It also derives the
- * static metrics the docs quote: register pressure, ORF-reachable read
- * fraction, and statically provable shared-bank conflict degree.
+ * trust with three static checks, each finding a named diagnostic
+ * (analysis/diagnostic.hh):
  *
- * The pass is purely static: no SM, cache, or DRAM model runs, so
- * linting all 26 shipped kernels takes milliseconds and is wired into
- * ctest and scripts/check.sh as a hard gate (tools/unimem_lint).
+ *  - warp invariants: a bounded prefix of several warps' traces --
+ *    first, middle, and last CTA, first and last warp, multiple seeds --
+ *    through def-use/liveness and per-instruction shape, register and
+ *    address checks, including the legal-access rule the trace parser
+ *    applies (validAccessBytes, accessInOneLine). It also derives the
+ *    static metrics the docs quote: register pressure, ORF-reachable
+ *    read fraction, and shared-bank conflict degree (the conflict
+ *    model's own, core/conflict_model.hh);
+ *  - barrier sync: every warp of a CTA reaches each barrier the same
+ *    number of times, over whole warp traces;
+ *  - register hazards across ORF capture windows, and the legality of
+ *    the default partitioned and unified allocations.
+ *
+ * No SM, cache, or DRAM model runs, so linting all 26 shipped kernels
+ * takes milliseconds and is wired into ctest and scripts/check.sh as a
+ * hard gate (tools/unimem_lint).
  */
 
 #ifndef UNIMEM_ANALYSIS_LINT_HH
@@ -29,54 +38,24 @@
 
 namespace unimem {
 
-/** Tunables of one lint pass. */
+/** Tunables of one lintKernel() call. */
 struct LintOptions
 {
     /** Trace-prefix bound per sampled warp. */
     u32 maxInstrsPerWarp = 4096;
 
-    /** ORF entries behind the LRF for the capture metric (paper: 4). */
-    u32 orfEntries = 4;
-
     /** Treat warnings as errors (-Werror). */
     bool werror = false;
-
-    /**
-     * Widest address spread one warp-instruction may legally cover in
-     * the global/texture space. One access targets one data structure;
-     * a larger spread means a broken per-lane address computation
-     * (signed underflow, unscaled index).
-     */
-    Addr laneSpreadLimit = Addr(1) << 30;
-
-    /** ORF-reachable fraction below this raises low-orf-capture (info). */
-    double orfAdvisoryFloor = 0.5;
 
     /** Launch seeds to sample (distinct WarpCtx shapes per seed). */
     std::vector<u64> seeds = {1, 2};
 
     /**
-     * Whole-trace instruction budget of the barrier-sync pass, spent
+     * Whole-trace instruction budget of the barrier-sync check, spent
      * across all scanned warps of one kernel. Exhausting it truncates
      * the proof and raises trace-bound-exceeded (warning).
      */
     u64 barrierScanBudget = u64(16) << 20;
-
-    /** Findings below this severity are discarded (see DiagnosticOptions). */
-    Severity minSeverity = Severity::Info;
-
-    /** Global stored-finding cap (--max-diags); 0 = unlimited. */
-    u64 maxTotalSites = 0;
-
-    DiagnosticOptions
-    diagOptions() const
-    {
-        DiagnosticOptions o;
-        o.werror = werror;
-        o.minSeverity = minSeverity;
-        o.maxTotalSites = maxTotalSites;
-        return o;
-    }
 };
 
 /** Static metrics aggregated over all sampled warps of one kernel. */
@@ -113,30 +92,6 @@ struct LintMetrics
                               : static_cast<double>(sharedDegreeSum) /
                                     static_cast<double>(sharedOps);
     }
-
-    void merge(const LintMetrics& o);
-};
-
-/**
- * Summary one analysis pass leaves behind (analysis/pass.hh). The
- * findings themselves land in the report's shared DiagnosticEngine;
- * this carries the pass's aggregate numbers for the JSON report.
- */
-struct PassResult
-{
-    std::string pass;
-
-    /** Warp-prefix metrics (meaningful for the warp-invariants pass). */
-    LintMetrics metrics;
-
-    /** Named summary statistics, in deterministic emission order. */
-    std::vector<std::pair<std::string, double>> stats;
-
-    void
-    stat(const std::string& name, double value)
-    {
-        stats.emplace_back(name, value);
-    }
 };
 
 /** Everything one lintKernel() call produces. */
@@ -144,13 +99,10 @@ struct LintReport
 {
     std::string kernel;
 
-    /** Warp-invariants metrics (empty if that pass did not run). */
+    /** Metrics of the warp-invariants check. */
     LintMetrics metrics;
 
     DiagnosticEngine diags;
-
-    /** One entry per executed pass, in execution order. */
-    std::vector<PassResult> passes;
 
     u64 errors() const { return diags.count(Severity::Error); }
     u64 warnings() const { return diags.count(Severity::Warning); }
@@ -179,16 +131,25 @@ void lintWarp(const KernelModel& kernel, const WarpCtx& ctx,
               LintMetrics& metrics);
 
 /**
- * Run the default analysis pass set over @p kernel (analysis/pass.hh).
- * Backward compatible with the original single-pass analyzer: the
- * warp-invariants pass reproduces its findings and metrics exactly.
+ * Whole-trace barrier-sync check: every warp of up to three CTAs per
+ * seed ({first, middle, last} past 8 CTAs, all of them otherwise) must
+ * execute the same number of Bar instructions, or the CTA deadlocks.
  */
+void lintBarriers(const KernelModel& kernel, const LintOptions& opt,
+                  DiagnosticEngine& diags);
+
+/**
+ * Register hazards across ORF capture windows over the @p samples'
+ * trace prefixes, then allocation legality of the default partitioned
+ * and 384 KB unified RunSpecs.
+ */
+void lintRegisterHazards(const KernelModel& kernel,
+                         const std::vector<WarpCtx>& samples,
+                         const LintOptions& opt, DiagnosticEngine& diags);
+
+/** Run the three checks over @p kernel, in the order above. */
 LintReport lintKernel(const KernelModel& kernel,
                       const LintOptions& opt = {});
-
-/** Run an explicit pass-name list (unknown names are fatal). */
-LintReport lintKernel(const KernelModel& kernel, const LintOptions& opt,
-                      const std::vector<std::string>& passNames);
 
 } // namespace unimem
 

@@ -54,7 +54,7 @@ struct LivenessSummary
  * before any read. Which kind depends on the overwritten producer —
  * a long-latency load result thrown away is wasted DRAM traffic, a
  * zero-read redefinition inside the LRF+ORF recency window is a WAW
- * the capture hierarchy silently absorbs (analysis/pass_reghazard.cc
+ * the capture hierarchy silently absorbs (lint's register-hazard check
  * turns these into diagnostics).
  */
 struct HazardEvent

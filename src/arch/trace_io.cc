@@ -161,12 +161,8 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
                     fatal("trace: line %llu: register %u out of range "
                           "(below %u, or %u for none)",
                           line_no, r, kMaxArchRegs, kInvalidReg);
-            // The footprint pass (mem/coalescer) covers accesses of up
-            // to one line; these are the sizes a GPU ISA issues.
             const bool size_ok =
-                isMemOp(in.op) ? bytes == 1 || bytes == 2 || bytes == 4 ||
-                                     bytes == 8 || bytes == 16
-                               : bytes <= 0xff;
+                isMemOp(in.op) ? validAccessBytes(bytes) : bytes <= 0xff;
             if (!size_ok)
                 fatal("trace: line %llu: access size %u out of range "
                       "(memory ops take 1, 2, 4, 8 or 16 bytes)",
@@ -196,8 +192,7 @@ TraceFileKernel::TraceFileKernel(std::istream& is)
                 u64 addr = 0;
                 if (!(ls >> std::hex >> addr))
                     fatal("trace: line %llu: too few addresses", line_no);
-                if (addr % kCacheLineBytes + last_mem->accessBytes >
-                    kCacheLineBytes)
+                if (!accessInOneLine(addr, last_mem->accessBytes))
                     fatal("trace: line %llu: lane %u's %u-byte access at "
                           "%#llx crosses a 128-byte line",
                           line_no, lane,

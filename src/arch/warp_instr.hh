@@ -36,7 +36,7 @@ struct WarpInstr
     std::array<RegId, 3> src{kInvalidReg, kInvalidReg, kInvalidReg};
     u8 numSrc = 0;
 
-    /** Per-thread access size in bytes for memory ops (4 or 8). */
+    /** Per-thread access size in bytes for memory ops (validAccessBytes). */
     u8 accessBytes = 4;
 
     /** Bit i set means lane i executes this instruction. */
@@ -55,6 +55,26 @@ struct WarpInstr
 
     bool laneActive(u32 lane) const { return (activeMask >> lane) & 1u; }
 };
+
+/**
+ * The legal memory access, shared by the trace parser (arch/trace_io)
+ * and lint (analysis/lint): a lane accesses 1, 2, 4, 8 or 16 bytes --
+ * the sizes a GPU ISA issues -- and stays inside one 128-byte line,
+ * because the footprint pass (mem/coalescer) records one line per lane.
+ */
+constexpr bool
+validAccessBytes(u32 bytes)
+{
+    return bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8 ||
+           bytes == 16;
+}
+
+/** Whether a @p bytes -byte access at @p addr stays inside its line. */
+constexpr bool
+accessInOneLine(Addr addr, u32 bytes)
+{
+    return addr % kCacheLineBytes + bytes <= kCacheLineBytes;
+}
 
 /**
  * Convenience factories used by the kernel models and tests. All of

@@ -98,6 +98,18 @@ CliArgs::getCount(const std::string& name, u32 dflt) const
     return static_cast<u32>(v);
 }
 
+u32
+CliArgs::getCountIn(const std::string& name, u32 dflt, u32 lo, u32 hi) const
+{
+    if (!has(name))
+        return dflt;
+    long v = getInt(name, dflt);
+    if (v < static_cast<long>(lo) || v > static_cast<long>(hi))
+        fatal("flag --%s expects %u to %u, got %s", name.c_str(), lo, hi,
+              getString(name, "").c_str());
+    return static_cast<u32>(v);
+}
+
 double
 CliArgs::getDouble(const std::string& name, double dflt) const
 {

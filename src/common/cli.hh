@@ -64,6 +64,12 @@ class CliArgs
     /** getInt for counts and sizes: fatal unless in [0, 2^32). */
     u32 getCount(const std::string& name, u32 dflt) const;
 
+    /**
+     * getCount bounded to [@p lo, @p hi] when the flag is given (@p dflt
+     * is not checked): fatal "flag --NAME expects LO to HI, got V".
+     */
+    u32 getCountIn(const std::string& name, u32 dflt, u32 lo, u32 hi) const;
+
     const std::vector<std::string>& positional() const { return positional_; }
 
   private:

@@ -58,9 +58,7 @@ struct ConflictOutcome
      * Maximum accesses to any single bank from the *data* (scratchpad/
      * cache) footprint alone, excluding MRF operand reads. Unlike
      * maxPerBank this is a pure function of the instruction's lane
-     * addresses, so a static trace replay can recompute it exactly —
-     * the bank-conflict differential cross-check pass compares this
-     * field against its own prediction instruction by instruction.
+     * addresses; lint reports it as a shared op's conflict degree.
      */
     u32 dataMaxPerBank = 0;
 

@@ -1,12 +1,8 @@
 /**
  * @file
- * Per-warp-instruction bank conflict accounting (paper Section 6.1).
- *
- * The paper's simplified model counts, for each warp instruction, the
- * number of accesses made to each physical bank; the instruction is
- * delayed one cycle for each access beyond the first to the most-accessed
- * bank. The same counter produces the Table 5 breakdown of instructions
- * by maximum accesses to a single bank.
+ * The Table 5 breakdown of warp instructions by the maximum number of
+ * accesses any one bank received (paper Section 6.1). The per-bank
+ * counting itself is core/conflict_model's.
  */
 
 #ifndef UNIMEM_MEM_BANK_CONFLICTS_HH
@@ -17,68 +13,6 @@
 #include "common/types.hh"
 
 namespace unimem {
-
-/** Accumulates per-bank access counts for one warp instruction. */
-class BankAccessCounter
-{
-  public:
-    /** Record @p count accesses to @p bankId. */
-    void
-    add(u32 bankId, u32 count = 1)
-    {
-        for (u32 i = 0; i < size_; ++i) {
-            if (entries_[i].bank == bankId) {
-                entries_[i].count += count;
-                return;
-            }
-        }
-        if (size_ < entries_.size()) {
-            entries_[size_].bank = bankId;
-            entries_[size_].count = count;
-            ++size_;
-        }
-    }
-
-    /** Maximum accesses to any single bank (0 when nothing recorded). */
-    u32
-    maxCount() const
-    {
-        u32 m = 0;
-        for (u32 i = 0; i < size_; ++i)
-            m = m > entries_[i].count ? m : entries_[i].count;
-        return m;
-    }
-
-    /** Total recorded accesses. */
-    u32
-    total() const
-    {
-        u32 t = 0;
-        for (u32 i = 0; i < size_; ++i)
-            t += entries_[i].count;
-        return t;
-    }
-
-    /** Stall cycles: one per access beyond the first to the hottest bank. */
-    u32
-    penalty() const
-    {
-        u32 m = maxCount();
-        return m > 1 ? m - 1 : 0;
-    }
-
-    void reset() { size_ = 0; }
-
-  private:
-    struct Entry
-    {
-        u32 bank = 0;
-        u32 count = 0;
-    };
-
-    std::array<Entry, 64> entries_{};
-    u32 size_ = 0;
-};
 
 /**
  * Table 5 histogram: warp instructions bucketed by the maximum number of

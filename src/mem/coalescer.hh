@@ -57,9 +57,9 @@ struct CoalescedAccess
  * lets the per-cycle issue path reuse one scratch buffer instead of
  * allocating per memory instruction.
  *
- * panic()s if an active lane's access crosses its 128-byte line: trace
- * input is checked for that at parse time (arch/trace_io), so only a
- * kernel-model bug can produce one.
+ * panic()s if an active lane's access crosses its 128-byte line. The
+ * trace parser and lint reject such input first (accessInOneLine in
+ * arch/warp_instr.hh), so only a kernel-model bug can reach the panic.
  */
 void coalesce(const WarpInstr& in, std::vector<CoalescedAccess>& out);
 

@@ -529,9 +529,6 @@ SmModel::issue(u32 w)
         co = e.outcome;
     }
     stats_.conflictHist.record(co.maxPerBank);
-    if (sharedTrace_ != nullptr && isSharedSpace(in.op))
-        sharedTrace_->push_back({wc.warpGlobalId, co.dataMaxPerBank,
-                                 co.distinctWords, co.distinctChunks});
     u32 reg_pen = cfg_.conflictPenalties ? co.regPenalty : 0;
     u32 mem_pen =
         cfg_.conflictPenalties ? co.penalty - co.regPenalty : 0;

@@ -163,27 +163,6 @@ class SmModel
     }
 
     /**
-     * One issued shared-memory instruction's conflict accounting, as
-     * charged by the simulator.
-     * Within one warp the records appear in program order, so a static
-     * replay of that warp's trace can be compared element-wise — the
-     * bank-conflict differential cross-check pass does exactly that.
-     */
-    struct SharedConflictRecord
-    {
-        u64 warpGlobalId;
-        u32 dataMaxPerBank;
-        u32 distinctWords;
-        u32 distinctChunks;
-    };
-
-    /** Record every issued shared op into @p sink (nullptr disables). */
-    void setSharedConflictTrace(std::vector<SharedConflictRecord>* sink)
-    {
-        sharedTrace_ = sink;
-    }
-
-    /**
      * High-water mark of the livelock guard's no-progress counter
      * (advance-loop iterations without the clock moving). Regression
      * tests assert it stays O(1) regardless of kernel length or how
@@ -453,7 +432,6 @@ class SmModel
     std::vector<CoalescedAccess> coalesceScratch_;
 
     std::vector<IssueRecord>* issueTrace_ = nullptr;
-    std::vector<SharedConflictRecord>* sharedTrace_ = nullptr;
 
     ownership::Actor deliveryOwner_ = ownership::kNoActor;
 

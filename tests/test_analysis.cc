@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests of the static trace analyzer (analysis/lint.hh).
+ * Tests of the trace validator (analysis/lint.hh).
  *
  * Layout: one positive case (a clean hand-built kernel), one negative
  * case per diagnostic — each seeded violation built so it trips exactly
- * its intended check once — a clean-sweep test over all 26 shipped
- * kernel models, and determinism of the parallel lint driver across
- * worker counts.
+ * its intended check once — the legal-access rule against the trace
+ * parser's, a clean-sweep test over all 26 shipped kernel models, and
+ * determinism of the parallel lint driver across worker counts.
  */
 
 #include <cstdlib>
@@ -17,7 +17,7 @@
 
 #include "analysis/lint.hh"
 #include "analysis/liveness.hh"
-#include "analysis/pass.hh"
+#include "arch/trace_io.hh"
 #include "kernels/registry.hh"
 #include "kernels/step_program.hh"
 #include "kernels/workloads.hh"
@@ -284,6 +284,63 @@ TEST(Lint, MemoryOpWithBadAccessBytes)
     expectOnly(r, DiagId::BadAccessBytes);
 }
 
+TEST(Lint, LineCrossingSharedAccessIsAnErrorNotAPanic)
+{
+    // Lane 1's bytes 0x7c..0x83 straddle the line at 0x80; the conflict
+    // degree's footprint pass would panic on it.
+    auto prog = cleanProgram();
+    WarpInstr in = instr::mem(Opcode::LdShared, 2, 0, 0x3u);
+    in.accessBytes = 8;
+    in.addr[0] = 0x40;
+    in.addr[1] = 0x7c;
+    prog.push_back(in);
+    LintReport r = lintOne(baseParams(), prog);
+    expectOnly(r, DiagId::LineCrossingAccess);
+    EXPECT_NE(r.str().find("error: lane 1's 8-byte access at 0x7c crosses "
+                           "a 128-byte line [line-crossing-access]"),
+              std::string::npos)
+        << r.str();
+}
+
+// ---- one legal-access rule with the trace parser --------------------------
+
+TEST(LintDeathTest, ErrorsExactlyWhereTheParserFails)
+{
+    // One lane of a global load at each size, aligned, misaligned inside
+    // its line, and crossing it. Lint reports an error exactly when the
+    // parser fatal()s on the same access; a misaligned access inside a
+    // line is a warning for lint and legal for the parser.
+    constexpr Addr kLine = 0x1000;
+    u32 errorRows = 0;
+    for (u32 bytes : {0u, 1u, 3u, 4u, 12u, 16u, 32u}) {
+        for (u32 offset : {0u, 2u, 126u}) {
+            const Addr addr = kLine + offset;
+            SCOPED_TRACE(std::to_string(bytes) + " bytes at offset " +
+                         std::to_string(offset));
+            WarpInstr in = instr::mem(Opcode::LdGlobal, 2, 0, 0x1u);
+            in.accessBytes = static_cast<u8>(bytes);
+            in.addr[0] = addr;
+            const bool lintError = !lintOne(baseParams(), {in}).clean();
+            errorRows += lintError;
+
+            std::ostringstream trace;
+            trace << "unimem-trace 1\nkernel x regs 8 shared 0 cta 32 "
+                     "grid 1\nwarp 0 0\ni ld.global 2 0 65535 65535 1 "
+                  << bytes << "\na " << std::hex << addr << "\nend\n";
+            EXPECT_EXIT(
+                {
+                    std::istringstream is(trace.str());
+                    TraceFileKernel k(is);
+                    std::exit(0);
+                },
+                ::testing::ExitedWithCode(lintError ? 1 : 0),
+                lintError ? "fatal: trace: line [45]: " : "");
+        }
+    }
+    // Sizes 0, 3, 12 and 32 everywhere, and 4 and 16 across the line.
+    EXPECT_EQ(errorRows, 14u);
+}
+
 // ---- (e) static metrics -------------------------------------------------
 
 TEST(Lint, RegisterPressureOfDisjointChains)
@@ -387,21 +444,6 @@ TEST(Lint, PerIdSiteCapSuppresses)
         eng.report(DiagId::BadArity, loc, "site " + std::to_string(i));
     EXPECT_EQ(eng.countOf(DiagId::BadArity), 2u);
     EXPECT_EQ(eng.suppressedCount(), 3u);
-}
-
-TEST(Lint, EngineMergePreservesCountsAndDedups)
-{
-    DiagnosticEngine a, b;
-    DiagLoc loc;
-    loc.kernel = "k";
-    a.report(DiagId::BadArity, loc, "shared site");
-    b.report(DiagId::BadArity, loc, "shared site");
-    b.report(DiagId::MissingDst, loc, "only in b");
-    a.merge(b);
-    EXPECT_EQ(a.countOf(DiagId::BadArity), 1u);
-    EXPECT_EQ(a.countOf(DiagId::MissingDst), 1u);
-    ASSERT_GE(a.diagnostics().size(), 1u);
-    EXPECT_EQ(a.diagnostics()[0].occurrences, 2u);
 }
 
 // ---- warp sampling ------------------------------------------------------
@@ -598,44 +640,7 @@ TEST(Liveness, UnusedLiveInOverwriteIsNoHazard)
     EXPECT_TRUE(events.empty());
 }
 
-// ---- pass framework -----------------------------------------------------
-
-TEST(PassFramework, RegistryIsWellFormed)
-{
-    verifyPassRegistry(); // panics on any violation
-    EXPECT_EQ(allPasses().size(), 5u);
-    EXPECT_NE(findPass("warp-invariants"), nullptr);
-    EXPECT_NE(findPass("bank-conflict-xcheck"), nullptr);
-    EXPECT_EQ(findPass("no-such-pass"), nullptr);
-    EXPECT_EQ(defaultPassNames(),
-              (std::vector<std::string>{"warp-invariants",
-                                        "barrier-sync",
-                                        "register-hazard"}));
-}
-
-TEST(PassFramework, ReportCarriesPerPassResults)
-{
-    LintReport r = lintOne(baseParams(), cleanProgram());
-    ASSERT_EQ(r.passes.size(), 3u);
-    EXPECT_EQ(r.passes[0].pass, "warp-invariants");
-    EXPECT_EQ(r.passes[1].pass, "barrier-sync");
-    EXPECT_EQ(r.passes[2].pass, "register-hazard");
-    EXPECT_FALSE(r.passes[0].stats.empty());
-    // The report's headline metrics mirror the warp-invariants pass.
-    EXPECT_EQ(r.metrics.instrs, r.passes[0].metrics.instrs);
-}
-
-TEST(PassFramework, ExplicitPassListRunsExactlyThose)
-{
-    TestKernel k(baseParams(), cleanProgram());
-    LintReport r = lintKernel(k, {}, {"barrier-sync"});
-    ASSERT_EQ(r.passes.size(), 1u);
-    EXPECT_EQ(r.passes[0].pass, "barrier-sync");
-    // warp-invariants did not run, so its metrics stay empty.
-    EXPECT_EQ(r.metrics.instrs, 0u);
-}
-
-// ---- barrier-sync pass --------------------------------------------------
+// ---- barrier sync -------------------------------------------------------
 
 /** Kernel whose warp 0 executes one extra barrier (a guaranteed hang). */
 class DivergentBarrierKernel : public KernelModel
@@ -669,21 +674,46 @@ class DivergentBarrierKernel : public KernelModel
     bool divergent_;
 };
 
+/** Findings of the barrier-sync check alone. */
+DiagnosticEngine
+barrierFindings(const KernelModel& k, const LintOptions& opt = {})
+{
+    DiagnosticEngine diags;
+    lintBarriers(k, opt, diags);
+    return diags;
+}
+
+/** Findings of the register-hazard check alone. */
+DiagnosticEngine
+hazardFindings(const KernelModel& k)
+{
+    LintOptions opt;
+    DiagnosticEngine diags;
+    lintRegisterHazards(k, lintWarpSamples(k.params(), opt), opt, diags);
+    return diags;
+}
+
+std::string
+render(const DiagnosticEngine& diags)
+{
+    std::ostringstream os;
+    diags.print(os);
+    return os.str();
+}
+
 TEST(PassBarrier, UnequalBarCountsAreDivergence)
 {
     DivergentBarrierKernel k(/*divergent=*/true);
-    LintReport r = lintKernel(k, {}, {"barrier-sync"});
-    EXPECT_FALSE(r.clean()) << r.str();
-    EXPECT_GE(r.diags.countOf(DiagId::BarrierDivergence), 1u)
-        << r.str();
+    DiagnosticEngine d = barrierFindings(k);
+    EXPECT_TRUE(d.hasErrors()) << render(d);
+    EXPECT_GE(d.countOf(DiagId::BarrierDivergence), 1u) << render(d);
 }
 
 TEST(PassBarrier, EqualBarCountsProveClean)
 {
     DivergentBarrierKernel k(/*divergent=*/false);
-    LintReport r = lintKernel(k, {}, {"barrier-sync"});
-    EXPECT_TRUE(r.clean()) << r.str();
-    EXPECT_EQ(r.diags.countOf(DiagId::BarrierDivergence), 0u);
+    DiagnosticEngine d = barrierFindings(k);
+    EXPECT_TRUE(d.diagnostics().empty()) << render(d);
 }
 
 TEST(PassBarrier, BudgetExhaustionWarnsInsteadOfGuessing)
@@ -691,15 +721,13 @@ TEST(PassBarrier, BudgetExhaustionWarnsInsteadOfGuessing)
     DivergentBarrierKernel k(/*divergent=*/true);
     LintOptions opt;
     opt.barrierScanBudget = 2; // truncates inside the first CTA
-    LintReport r = lintKernel(k, opt, {"barrier-sync"});
-    EXPECT_GE(r.diags.countOf(DiagId::TraceBoundExceeded), 1u)
-        << r.str();
+    DiagnosticEngine d = barrierFindings(k, opt);
+    EXPECT_GE(d.countOf(DiagId::TraceBoundExceeded), 1u) << render(d);
     // Partial counts prove nothing, so no divergence may be claimed.
-    EXPECT_EQ(r.diags.countOf(DiagId::BarrierDivergence), 0u)
-        << r.str();
+    EXPECT_EQ(d.countOf(DiagId::BarrierDivergence), 0u) << render(d);
 }
 
-// ---- register-hazard pass -----------------------------------------------
+// ---- register hazards and allocation legality ---------------------------
 
 TEST(PassRegHazard, DeadLoadOverwriteFlagged)
 {
@@ -709,10 +737,9 @@ TEST(PassRegHazard, DeadLoadOverwriteFlagged)
     prog.push_back(memAt(Opcode::StGlobal, 8192, /*data=*/2,
                          /*addr=*/2));
     TestKernel k(baseParams(), prog);
-    LintReport r = lintKernel(k, {}, {"register-hazard"});
-    EXPECT_TRUE(r.clean()) << r.str(); // advisory, not an error
-    EXPECT_EQ(r.diags.countOf(DiagId::DeadLoadOverwrite), 1u)
-        << r.str();
+    DiagnosticEngine d = hazardFindings(k);
+    EXPECT_FALSE(d.hasErrors()) << render(d); // advisory, not an error
+    EXPECT_EQ(d.countOf(DiagId::DeadLoadOverwrite), 1u) << render(d);
 }
 
 TEST(PassRegHazard, WindowWawFlagged)
@@ -722,8 +749,8 @@ TEST(PassRegHazard, WindowWawFlagged)
     prog.push_back(instr::alu(3, 1)); // zero-read redef in the window
     prog.push_back(instr::alu(4, 3));
     TestKernel k(baseParams(), prog);
-    LintReport r = lintKernel(k, {}, {"register-hazard"});
-    EXPECT_EQ(r.diags.countOf(DiagId::OrfWindowWaw), 1u) << r.str();
+    DiagnosticEngine d = hazardFindings(k);
+    EXPECT_EQ(d.countOf(DiagId::OrfWindowWaw), 1u) << render(d);
 }
 
 TEST(PassRegHazard, OversizedSharedIsInfeasiblePartitioned)
@@ -731,117 +758,30 @@ TEST(PassRegHazard, OversizedSharedIsInfeasiblePartitioned)
     KernelParams kp = baseParams();
     kp.sharedBytesPerCta = 128 * 1024; // above the 64 KB scratchpad
     TestKernel k(kp, cleanProgram());
-    LintReport r = lintKernel(k, {}, {"register-hazard"});
+    DiagnosticEngine d = hazardFindings(k);
     // Partitioned cannot launch; the 384 KB unified pool still can.
-    EXPECT_EQ(r.diags.countOf(DiagId::AllocInfeasibleLaunch), 1u)
-        << r.str();
+    EXPECT_EQ(d.countOf(DiagId::AllocInfeasibleLaunch), 1u) << render(d);
 }
 
 TEST(PassRegHazard, ShippedKernelAllocationsAreLegal)
 {
     auto k = createBenchmark("vectoradd", 0.05);
-    LintReport r = lintKernel(*k, {}, {"register-hazard"});
-    EXPECT_EQ(r.diags.countOf(DiagId::AllocInfeasibleLaunch), 0u);
-    EXPECT_EQ(r.diags.countOf(DiagId::AllocOverSubscribed), 0u);
-    EXPECT_EQ(r.diags.countOf(DiagId::AllocPartitionOverlap), 0u);
+    DiagnosticEngine d = hazardFindings(*k);
+    EXPECT_EQ(d.countOf(DiagId::AllocInfeasibleLaunch), 0u);
+    EXPECT_EQ(d.countOf(DiagId::AllocOverSubscribed), 0u);
+    EXPECT_EQ(d.countOf(DiagId::AllocPartitionOverlap), 0u);
 }
 
-// ---- bank-conflict differential cross-check -----------------------------
-
-double
-passStat(const PassResult& pr, const std::string& name)
-{
-    for (const auto& [k, v] : pr.stats)
-        if (k == name)
-            return v;
-    ADD_FAILURE() << "missing pass stat " << name;
-    return -1.0;
-}
-
-TEST(PassXcheck, SimulatorMatchesStaticPredictorBitExactly)
-{
-    // dgemm mixes conflict-free and degree-2 shared accesses (8-byte
-    // loads); the cross-check must agree on every instruction in both
-    // designs.
-    auto k = createBenchmark("dgemm", 0.25);
-    LintReport r = lintKernel(*k, {}, {"bank-conflict-xcheck"});
-    ASSERT_EQ(r.passes.size(), 1u);
-    EXPECT_TRUE(r.clean()) << r.str();
-    EXPECT_EQ(r.diags.countOf(DiagId::BankConflictMismatch), 0u)
-        << r.str();
-    EXPECT_GT(passStat(r.passes[0], "ops_checked"), 0.0);
-    EXPECT_EQ(passStat(r.passes[0], "mismatches"), 0.0);
-}
-
-// ---- chip-ownership pass ------------------------------------------------
-
-TEST(PassOwnership, BoundPhaseIsOwnershipCleanOnShippedKernel)
-{
-    auto k = createBenchmark("vectoradd", 0.05);
-    LintReport r = lintKernel(*k, {}, {"chip-ownership"});
-    ASSERT_EQ(r.passes.size(), 1u);
-    EXPECT_TRUE(r.clean()) << r.str();
-    EXPECT_EQ(r.diags.countOf(DiagId::OwnershipViolation), 0u)
-        << r.str();
-    EXPECT_GT(passStat(r.passes[0], "ownership_checks"), 0.0);
-    EXPECT_EQ(passStat(r.passes[0], "violations"), 0.0);
-}
-
-// ---- diagnostic engine: filtering, caps, registry -----------------------
-
-TEST(Lint, EngineSeverityFilterDropsBelowMin)
-{
-    DiagnosticOptions opt;
-    opt.minSeverity = Severity::Warning;
-    DiagnosticEngine eng(opt);
-    DiagLoc loc;
-    loc.kernel = "k";
-    eng.report(DiagId::LowOrfCapture, loc, "advisory");   // info
-    eng.report(DiagId::MisalignedAddress, loc, "warning");
-    EXPECT_EQ(eng.diagnostics().size(), 1u);
-    EXPECT_EQ(eng.filteredCount(), 1u);
-    EXPECT_EQ(eng.countOf(DiagId::MisalignedAddress), 1u);
-    EXPECT_EQ(eng.suppressedCount(), 0u); // filtered, not suppressed
-}
-
-TEST(Lint, WerrorPromotionHappensBeforeTheFilter)
-{
-    DiagnosticOptions opt;
-    opt.minSeverity = Severity::Error;
-    opt.werror = true;
-    DiagnosticEngine eng(opt);
-    DiagLoc loc;
-    loc.kernel = "k";
-    eng.report(DiagId::MisalignedAddress, loc, "promoted"); // w -> e
-    eng.report(DiagId::LowOrfCapture, loc, "still info");
-    EXPECT_EQ(eng.count(Severity::Error), 1u);
-    EXPECT_EQ(eng.filteredCount(), 1u);
-}
-
-TEST(Lint, GlobalSiteCapSuppressesAcrossIds)
-{
-    DiagnosticOptions opt;
-    opt.maxTotalSites = 2;
-    DiagnosticEngine eng(opt);
-    DiagLoc loc;
-    loc.kernel = "k";
-    eng.report(DiagId::BadArity, loc, "a");
-    eng.report(DiagId::MissingDst, loc, "b");
-    eng.report(DiagId::UnexpectedDst, loc, "c"); // over the cap
-    eng.report(DiagId::BadArity, loc, "a");      // dup still counts
-    EXPECT_EQ(eng.diagnostics().size(), 2u);
-    EXPECT_EQ(eng.suppressedCount(), 1u);
-    EXPECT_EQ(eng.diagnostics()[0].occurrences, 2u);
-}
+// ---- diagnostic registry ------------------------------------------------
 
 TEST(Lint, DiagRegistryIsDenseUniqueAndStable)
 {
     verifyDiagRegistry(); // panics on violation
-    EXPECT_EQ(kNumDiagIds, 24u);
+    EXPECT_EQ(kNumDiagIds, 23u);
     EXPECT_STREQ(diagName(DiagId::BarrierDivergence),
                  "barrier-divergence");
-    EXPECT_STREQ(diagName(DiagId::OwnershipViolation),
-                 "ownership-violation");
+    EXPECT_STREQ(diagName(DiagId::LineCrossingAccess),
+                 "line-crossing-access");
 }
 
 // ---- golden lint snapshot over every shipped kernel ---------------------

@@ -150,6 +150,16 @@ collectViolation(const ownership::Violation& v)
     gViolations.push_back(v);
 }
 
+/** Report and clear the violations collected so far, naming @p run. */
+void
+expectNoViolations(const std::string& run)
+{
+    std::lock_guard<std::mutex> lk(gViolationMu);
+    for (const ownership::Violation& v : gViolations)
+        ADD_FAILURE() << run << ": " << v.str();
+    gViolations.clear();
+}
+
 TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
 {
     // Bit-identical fingerprints prove the weave *result* is invariant;
@@ -174,6 +184,22 @@ TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
     for (u32 workers : {1u, 2u, 4u, 8u}) {
         cfg.workers = workers;
         runChip(cfg, "vectoradd", 0.05);
+        expectNoViolations("vectoradd, " + std::to_string(workers) +
+                           " workers");
+    }
+
+    // Every shipped kernel's own traffic shape once, on a 4-SM chip
+    // with 2 bound-phase workers.
+    for (const BenchmarkInfo& info : allBenchmarks()) {
+        auto kernel = createBenchmark(info.name, 0.05);
+        ChipConfig small;
+        small.numSms = 4;
+        small.workers = 2;
+        small.quantum = 64;
+        small.sm = smConfigFor(*kernel);
+        ChipModel chip(small, *kernel);
+        chip.run();
+        expectNoViolations(info.name);
     }
 
     ownership::setAuditing(prevAuditing);
@@ -181,10 +207,6 @@ TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
 
     EXPECT_GT(ownership::checksPerformed(), checksBefore)
         << "the audited run must actually exercise ownership checks";
-    std::lock_guard<std::mutex> lk(gViolationMu);
-    for (const ownership::Violation& v : gViolations)
-        ADD_FAILURE() << v.str();
-    EXPECT_TRUE(gViolations.empty());
 }
 
 TEST(ChipDeterminism, WorkerCountResolution)

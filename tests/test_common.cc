@@ -181,6 +181,23 @@ TEST(Cli, NegativeCountsAreFatal)
                 "--chip-jobs expects a non-negative count, got '-4'");
 }
 
+TEST(Cli, BoundedCountsCheckOnlyGivenValues)
+{
+    const char* argv[] = {"prog", "--threads=0", "--regs=256",
+                          "--quantum=99999999999"};
+    CliArgs args(4, argv);
+    // The default is returned unchecked: 0 means "no override" here.
+    EXPECT_EQ(args.getCountIn("capacity-kb", 0, 1, 8192), 0u);
+    EXPECT_EQ(args.getCountIn("regs", 0, 1, 256), 256u);
+    EXPECT_EXIT(args.getCountIn("threads", 1024, 1, 1024),
+                ::testing::ExitedWithCode(1),
+                "^fatal: flag --threads expects 1 to 1024, got 0");
+    EXPECT_EXIT(args.getCountIn("quantum", 64, 1, 0xffffffffu),
+                ::testing::ExitedWithCode(1),
+                "^fatal: flag --quantum expects 1 to 4294967295, got "
+                "99999999999");
+}
+
 TEST(Log, StrprintfFormats)
 {
     EXPECT_EQ(strprintf("%d-%s", 42, "x"), "42-x");

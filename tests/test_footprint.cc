@@ -5,24 +5,26 @@
  * plus SmModel's compute-op outcome table.
  *
  * The oracle is deliberately naive: the linear-search coalescer the
- * pass replaced, and the per-lane granule sets of the bank-conflict
- * cross-check pass (analysis/pass_bankconflict.cc) — distinct 4-byte
- * words, 16-byte chunks and 128-byte lines, each deduplicated by a
- * linear scan, with the Section 6.1 bank mappings applied to them
- * directly. Seeded random instructions over every data-bank op, sizes
- * 0-16, empty to full active masks, strided, broadcast, duplicate,
- * scattered and bank-conflict-free footprints, 0-3 MRF reads and all
- * three bank designs must match it field for field.
+ * pass replaced, and per-lane granule sets — distinct 4-byte words,
+ * 16-byte chunks and 128-byte lines, each deduplicated by a linear
+ * scan, with the Section 6.1 bank mappings applied to them directly.
+ * Seeded random instructions over every data-bank op, sizes 0-16,
+ * empty to full active masks, strided, broadcast, duplicate, scattered
+ * and bank-conflict-free footprints, 0-3 MRF reads and all three bank
+ * designs must match it field for field, and so must every shared op
+ * the 26 shipped kernels issue in the CTAs lint samples.
  */
 
 #include <algorithm>
 #include <array>
+#include <iostream>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/conflict_model.hh"
+#include "kernels/registry.hh"
 #include "mem/coalescer.hh"
 #include "sm/sm.hh"
 
@@ -220,12 +222,19 @@ checkInstr(const WarpInstr& in, const u8* mrfBanks, u32 numMrfReads)
 std::string
 describe(const WarpInstr& in)
 {
-    std::string s = std::string(opcodeName(in.op)) + " size " +
-                    std::to_string(in.accessBytes) + " mask " +
-                    std::to_string(in.activeMask) + " addr";
+    // Appended piecewise: GCC 12's -O3 raises a false -Wrestrict on a
+    // chain of std::string operator+.
+    std::string s = opcodeName(in.op);
+    s += " size ";
+    s += std::to_string(in.accessBytes);
+    s += " mask ";
+    s += std::to_string(in.activeMask);
+    s += " addr";
     for (u32 lane = 0; lane < kWarpWidth; ++lane)
-        if (in.laneActive(lane))
-            s += " " + std::to_string(in.addr[lane]);
+        if (in.laneActive(lane)) {
+            s += ' ';
+            s += std::to_string(in.addr[lane]);
+        }
     return s;
 }
 
@@ -307,9 +316,8 @@ randomInstr(std::mt19937_64& rng, Pattern pattern)
             break;
         }
         // Keep every access inside its 128-byte line.
-        u32 off = static_cast<u32>(a % kCacheLineBytes);
-        if (off + in.accessBytes > kCacheLineBytes)
-            a -= off + in.accessBytes - kCacheLineBytes;
+        if (!accessInOneLine(a, in.accessBytes))
+            a -= a % kCacheLineBytes + in.accessBytes - kCacheLineBytes;
         in.addr[lane] = a;
     }
     return in;
@@ -384,6 +392,45 @@ TEST(FootprintOracle, SixteenByteGatherMatchesOracle)
                   .evaluate(in, nullptr, 0)
                   .penalty,
               0u);
+}
+
+TEST(FootprintOracle, ShippedKernelsMatchOracle)
+{
+    // Every shared op of every warp of the CTAs lint samples (first,
+    // middle, last) in all 26 kernels' whole traces: the 4- and 8-byte,
+    // strided, broadcast and padded footprints the generators emit.
+    u64 ops = 0;
+    for (const BenchmarkInfo& info : allBenchmarks()) {
+        auto k = createBenchmark(info.name, 0.5);
+        const KernelParams& kp = k->params();
+        std::vector<u32> ctas = {0, kp.gridCtas / 2, kp.gridCtas - 1};
+        ctas.erase(std::unique(ctas.begin(), ctas.end()), ctas.end());
+        for (u32 cta : ctas)
+            for (u32 w = 0; w < kp.warpsPerCta(); ++w) {
+                WarpCtx ctx;
+                ctx.ctaId = cta;
+                ctx.warpInCta = w;
+                ctx.warpsPerCta = kp.warpsPerCta();
+                ctx.threadsPerCta = kp.ctaThreads;
+                ctx.seed = 1;
+                InstrStream stream(k->warpProgram(ctx));
+                for (const WarpInstr* in; (in = stream.peek()) != nullptr;
+                     stream.pop()) {
+                    if (!isSharedSpace(in->op))
+                        continue;
+                    ++ops;
+                    checkInstr(*in, nullptr, 0);
+                    if (::testing::Test::HasFailure()) {
+                        ADD_FAILURE() << info.name << " cta " << cta
+                                      << " warp " << w << ": "
+                                      << describe(*in);
+                        return;
+                    }
+                }
+            }
+    }
+    std::cout << "[          ] " << ops << " shared ops checked\n";
+    EXPECT_GT(ops, 0u);
 }
 
 TEST(FootprintOracle, LineCrossingAccessPanics)

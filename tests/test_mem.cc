@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the memory substrates: coalescer, data cache, DRAM
- * bandwidth/latency model, and the bank-conflict counters.
+ * bandwidth/latency model, and the Table 5 conflict histogram.
  */
 
 #include <gtest/gtest.h>
@@ -188,21 +188,6 @@ TEST(Dram, IdleGapResets)
     d.read(0, 4);
     Cycle r = d.read(1000, 4);
     EXPECT_EQ(r, 1000u + 16u + 400u);
-}
-
-TEST(BankAccessCounter, PenaltyIsMaxMinusOne)
-{
-    BankAccessCounter c;
-    EXPECT_EQ(c.penalty(), 0u);
-    c.add(3);
-    EXPECT_EQ(c.penalty(), 0u);
-    c.add(3);
-    c.add(5);
-    EXPECT_EQ(c.maxCount(), 2u);
-    EXPECT_EQ(c.penalty(), 1u);
-    EXPECT_EQ(c.total(), 3u);
-    c.reset();
-    EXPECT_EQ(c.maxCount(), 0u);
 }
 
 TEST(ConflictHistogram, BucketsAndFractions)

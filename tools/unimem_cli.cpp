@@ -39,6 +39,16 @@ using namespace unimem;
 
 namespace {
 
+/**
+ * Largest --capacity-kb: 8 MB, over 20x the paper's largest pool
+ * (384 KB). The cache's tag array grows with the capacity, so an
+ * unbounded value ends in std::bad_alloc instead of a result.
+ */
+constexpr u32 kMaxCapacityKb = 8192;
+
+/** Anything from 1 up: --chip-bw and --quantum. */
+constexpr u32 kNoUpperBound = ~u32(0);
+
 int
 cmdList(const CliArgs&)
 {
@@ -61,6 +71,8 @@ RunSpec
 specFromArgs(const CliArgs& args)
 {
     RunSpec spec;
+    const u64 capacity =
+        u64{args.getCountIn("capacity-kb", 384, 1, kMaxCapacityKb)} * 1024;
     std::string design = args.getString("design", "partitioned");
     if (design == "partitioned") {
         spec.design = DesignKind::Partitioned;
@@ -69,14 +81,14 @@ specFromArgs(const CliArgs& args)
     } else if (design == "fermi") {
         spec.design = DesignKind::FermiLike;
         spec.partition = fermiLikeOptions(
-            u64{args.getCount("capacity-kb", 384)} *
-            1024)[args.getInt("fermi-option", 0) != 0 ? 1 : 0];
+            capacity)[args.getInt("fermi-option", 0) != 0 ? 1 : 0];
     } else {
         fatal("unknown design '%s'", design.c_str());
     }
-    spec.unifiedCapacity = u64{args.getCount("capacity-kb", 384)} * 1024;
-    spec.threadLimit = args.getCount("threads", kMaxThreadsPerSm);
-    spec.regsOverride = args.getCount("regs", 0);
+    spec.unifiedCapacity = capacity;
+    spec.threadLimit =
+        args.getCountIn("threads", kMaxThreadsPerSm, 1, kMaxThreadsPerSm);
+    spec.regsOverride = args.getCountIn("regs", 0, 1, kMaxArchRegs);
     spec.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
     spec.conflictPenalties = !args.getBool("no-conflicts", false);
     spec.aggressiveUnified = args.getBool("aggressive-unified", false);
@@ -228,10 +240,7 @@ cmdChip(const CliArgs& args)
 {
     std::string name = requireBenchmark(args);
     double scale = args.getDouble("scale", 0.35);
-    u32 sms = args.getCount("sms", 8);
-    if (sms == 0 || sms > ChipConfig::kMaxSms)
-        fatal("flag --sms expects 1 to %u SMs, got %u", ChipConfig::kMaxSms,
-              sms);
+    u32 sms = args.getCountIn("sms", 8, 1, ChipConfig::kMaxSms);
 
     auto k = createBenchmark(name, scale);
     RunSpec spec = specFromArgs(args);
@@ -243,9 +252,9 @@ cmdChip(const CliArgs& args)
     cc.numSms = sms;
     // sms <= kMaxSms, so the default cannot wrap.
     cc.chipDramBytesPerCycle =
-        args.getCount("chip-bw", sms * kDramBytesPerCycle);
+        args.getCountIn("chip-bw", sms * kDramBytesPerCycle, 1, kNoUpperBound);
     cc.workers = args.getCount("chip-jobs", 0);
-    cc.quantum = args.getCount("quantum", 64);
+    cc.quantum = args.getCountIn("quantum", 64, 1, kNoUpperBound);
     cc.sm.design = spec.design == DesignKind::FermiLike
                        ? DesignKind::Partitioned
                        : spec.design;
@@ -327,7 +336,8 @@ cmdReproduce(const CliArgs& args)
     cfg.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
     cfg.sms = args.getCount("sms", cfg.sms);
     cfg.chipJobs = args.getCount("chip-jobs", cfg.chipJobs);
-    cfg.quantum = args.getCount("quantum", static_cast<u32>(cfg.quantum));
+    cfg.quantum = args.getCountIn("quantum", static_cast<u32>(cfg.quantum),
+                                  1, kNoUpperBound);
     reproduce(args.positional()[1], cfg, std::cout);
     return 0;
 }
@@ -340,10 +350,12 @@ withSpecFlags(std::vector<CliFlag> flags)
         flags.end(),
         {{"design", "partitioned|unified|fermi",
           "memory design (default partitioned)"},
-         {"capacity-kb", "N", "unified / Fermi-like capacity (default 384)"},
+         {"capacity-kb", "N",
+          "unified / Fermi-like capacity, 1 to 8192 (default 384)"},
          {"fermi-option", "0|1", "Fermi-like split: 0 = 96/32, 1 = 32/96 KB"},
-         {"threads", "N", "thread limit (default: maximum)"},
-         {"regs", "N", "registers/thread override"},
+         {"threads", "N", "thread limit, 1 to 1024 (default 1024)"},
+         {"regs", "N",
+          "registers/thread override, 1 to 256 (default: the kernel's)"},
          {"no-rf-hierarchy", "", "disable the ORF/LRF"},
          {"no-conflicts", "", "disable bank-conflict penalties"},
          {"aggressive-unified", "",
@@ -386,13 +398,14 @@ commands()
         {"chip", "usage: unimem_cli chip <benchmark> [flags]",
          withSpecFlags(
              {{"scale", "F", "workload scale (default 0.35)"},
-              {"sms", "N", "SMs on the chip (default 8)"},
-              {"chip-bw", "N", "chip DRAM bytes/cycle (default 8 per SM)"},
+              {"sms", "N", "SMs on the chip, 1 to 256 (default 8)"},
+              {"chip-bw", "N",
+               "chip DRAM bytes/cycle, at least 1 (default 8 per SM)"},
               {"chip-jobs", "N",
                "bound-phase workers (default: UNIMEM_CHIP_JOBS or all cores, "
                "capped to --sms; results are identical for any value)"},
               {"quantum", "N",
-               "co-simulation quantum in cycles (default 64)"}}),
+               "co-simulation quantum in cycles, at least 1 (default 64)"}}),
          cmdChip},
         {"trace", "usage: unimem_cli trace <benchmark> [flags]",
          {scale, {"out", "FILE", "output path (default <benchmark>.trace)"}},
@@ -410,7 +423,8 @@ commands()
            "ext_chip_validation: bound-phase workers (default: "
            "UNIMEM_CHIP_JOBS or all cores)"},
           {"quantum", "N",
-           "ext_chip_validation: quantum in cycles (default 64)"}},
+           "ext_chip_validation: quantum in cycles, at least 1 (default "
+           "64)"}},
          cmdReproduce},
     };
     return cmds;

@@ -1,11 +1,11 @@
 /**
  * @file
- * unimem-lint: static analyzer over the shipped kernel models.
+ * unimem-lint: the trace validator over the shipped kernel models.
  *
- * Runs the analysis pass framework (analysis/pass.hh) over every
- * registry benchmark — or a --kernel subset — in parallel on the sweep
- * engine, prints a per-kernel metrics table plus every diagnostic, and
- * exits nonzero when any kernel has findings. This is the gate
+ * Runs lintKernel() (analysis/lint.hh) over every registry benchmark —
+ * or a --kernel subset — in parallel on the sweep engine, prints a
+ * per-kernel metrics table plus every diagnostic, and exits nonzero
+ * when any kernel has findings. This is the gate
  * scripts/check.sh and CI run so a kernel-model edit that violates its
  * declared KernelParams fails the build instead of silently corrupting
  * figures.
@@ -19,7 +19,7 @@
 #include <iostream>
 #include <sstream>
 
-#include "analysis/pass.hh"
+#include "analysis/lint.hh"
 #include "common/cli.hh"
 #include "common/log.hh"
 #include "common/table.hh"
@@ -54,34 +54,6 @@ selectKernels(const CliArgs& args)
     return names;
 }
 
-std::vector<std::string>
-selectPasses(const CliArgs& args)
-{
-    if (args.getBool("all-passes", false)) {
-        std::vector<std::string> names;
-        for (const PassInfo& p : allPasses())
-            names.push_back(p.name);
-        return names;
-    }
-    if (args.has("passes")) {
-        std::vector<std::string> names;
-        std::stringstream ss(args.getString("passes", ""));
-        std::string item;
-        while (std::getline(ss, item, ','))
-            if (!item.empty()) {
-                if (findPass(item) == nullptr)
-                    fatal("unknown analysis pass '%s' (try "
-                          "--list-passes)",
-                          item.c_str());
-                names.push_back(item);
-            }
-        if (names.empty())
-            fatal("--passes given but no pass names parsed");
-        return names;
-    }
-    return defaultPassNames();
-}
-
 std::string
 jsonEscape(const std::string& s)
 {
@@ -99,13 +71,9 @@ jsonEscape(const std::string& s)
 }
 
 void
-printJson(std::ostream& os, const std::vector<LintReport>& reports,
-          const std::vector<std::string>& passNames)
+printJson(std::ostream& os, const std::vector<LintReport>& reports)
 {
-    os << "{\"schema_version\":2,\"passes\":[";
-    for (size_t i = 0; i < passNames.size(); ++i)
-        os << (i ? "," : "") << "\"" << jsonEscape(passNames[i]) << "\"";
-    os << "],\"kernels\":[";
+    os << "{\"schema_version\":3,\"kernels\":[";
     for (size_t i = 0; i < reports.size(); ++i) {
         const LintReport& r = reports[i];
         const LintMetrics& m = r.metrics;
@@ -123,18 +91,7 @@ printJson(std::ostream& os, const std::vector<LintReport>& reports,
            << ",\"avgSharedConflictDegree\":"
            << Table::num(m.avgSharedConflictDegree(), 4)
            << ",\"maxSharedConflictDegree\":" << m.sharedDegreeMax
-           << "},\"passes\":[";
-        for (size_t p = 0; p < r.passes.size(); ++p) {
-            const PassResult& pr = r.passes[p];
-            os << (p ? "," : "") << "{\"name\":\"" << jsonEscape(pr.pass)
-               << "\",\"stats\":{";
-            for (size_t s = 0; s < pr.stats.size(); ++s)
-                os << (s ? "," : "") << "\""
-                   << jsonEscape(pr.stats[s].first)
-                   << "\":" << Table::num(pr.stats[s].second, 4);
-            os << "}}";
-        }
-        os << "],\"diagnostics\":[";
+           << "},\"diagnostics\":[";
         const auto& ds = r.diags.diagnostics();
         for (size_t j = 0; j < ds.size(); ++j) {
             const Diagnostic& d = ds[j];
@@ -160,15 +117,9 @@ main(int argc, char** argv)
         {{"kernel", "a,b,c", "lint only these benchmarks (default: all 26)"},
          {"scale", "F", "workload scale (default 0.5, as unimem_cli)"},
          {"jobs", "N", "sweep workers (default: UNIMEM_JOBS or all cores)"},
-         {"passes", "a,b", "run these analysis passes (default: default set)"},
-         {"all-passes", "",
-          "run every registered pass, including the simulation-backed "
-          "cross-checks"},
-         {"list-passes", "", "print the pass registry and exit"},
          {"Werror", "", "treat warnings as errors"},
          {"max-instrs", "N",
           "trace-prefix bound per sampled warp (default 4096)"},
-         {"max-diags", "N", "global cap on stored findings per kernel"},
          {"json", "",
           "machine-readable report on stdout (summary line on stderr)"},
          {"quiet", "", "suppress per-diagnostic lines (summary table only)"}});
@@ -177,24 +128,13 @@ main(int argc, char** argv)
         return 3;
     }
 
-    verifyPassRegistry();
-
-    if (args.getBool("list-passes", false)) {
-        for (const PassInfo& p : allPasses())
-            std::cout << p.name << (p.inDefaultSet ? " [default]" : "")
-                      << "\n    " << p.description << "\n";
-        return 0;
-    }
-
     std::vector<std::string> names = selectKernels(args);
-    std::vector<std::string> passNames = selectPasses(args);
     double scale = args.getDouble("scale", 0.5);
     u32 jobs = args.getCount("jobs", 0);
 
     LintOptions opt;
     opt.werror = args.getBool("Werror", false);
     opt.maxInstrsPerWarp = args.getCount("max-instrs", 4096);
-    opt.maxTotalSites = args.getCount("max-diags", 0);
 
     // Each job writes its LintReport into its own submission slot, so
     // the report vector — like every sweep table — is identical at any
@@ -204,9 +144,9 @@ main(int argc, char** argv)
     for (size_t i = 0; i < names.size(); ++i) {
         SweepJob job;
         job.label = "lint " + names[i];
-        job.run = [&reports, &names, &opt, &passNames, scale, i]() {
+        job.run = [&reports, &names, &opt, scale, i]() {
             auto k = createBenchmark(names[i], scale);
-            reports[i] = lintKernel(*k, opt, passNames);
+            reports[i] = lintKernel(*k, opt);
             return SimResult{};
         };
         sweep.push_back(std::move(job));
@@ -221,12 +161,13 @@ main(int argc, char** argv)
     }
     int exit_code = errors > 0 ? 2 : warnings > 0 ? 1 : 0;
 
+    std::ostringstream summary;
+    summary << "lint: " << names.size() << " kernels, " << errors
+            << " errors, " << warnings << " warnings (" << stats.summary()
+            << ")\n";
     if (args.getBool("json", false)) {
-        printJson(std::cout, reports, passNames);
-        std::cerr << "lint: " << names.size() << " kernels, "
-                  << passNames.size() << " passes, " << errors
-                  << " errors, " << warnings << " warnings ("
-                  << stats.summary() << ")\n";
+        printJson(std::cout, reports);
+        std::cerr << summary.str();
         return exit_code;
     }
 
@@ -248,9 +189,6 @@ main(int argc, char** argv)
         for (const LintReport& r : reports)
             r.diags.print(std::cout);
 
-    std::cout << "lint: " << names.size() << " kernels, "
-              << passNames.size() << " passes, " << errors
-              << " errors, " << warnings << " warnings ("
-              << stats.summary() << ")\n";
+    std::cout << summary.str();
     return exit_code;
 }
