@@ -160,21 +160,47 @@ expectNoViolations(const std::string& run)
     gViolations.clear();
 }
 
+/**
+ * Arms the ownership auditor with the collecting handler for one test
+ * and restores the previous auditing state and handler on exit.
+ */
+class AuditScope
+{
+  public:
+    AuditScope()
+        : prevAuditing_(ownership::auditing()),
+          prevHandler_(ownership::setViolationHandler(collectViolation)),
+          checksBefore_(ownership::checksPerformed())
+    {
+        ownership::setAuditing(true);
+        std::lock_guard<std::mutex> lk(gViolationMu);
+        gViolations.clear();
+    }
+
+    ~AuditScope()
+    {
+        ownership::setAuditing(prevAuditing_);
+        ownership::setViolationHandler(prevHandler_);
+    }
+
+    u64 checksMade() const
+    {
+        return ownership::checksPerformed() - checksBefore_;
+    }
+
+  private:
+    bool prevAuditing_;
+    ownership::Handler prevHandler_;
+    u64 checksBefore_;
+};
+
 TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
 {
     // Bit-identical fingerprints prove the weave *result* is invariant;
     // the ownership auditor proves the *process* is data-isolated: no
     // SM touches another SM's DRAM queue or a weave-only entry point
     // during the bound phase, at any worker count.
-    bool prevAuditing = ownership::auditing();
-    ownership::Handler prev =
-        ownership::setViolationHandler(collectViolation);
-    ownership::setAuditing(true);
-    {
-        std::lock_guard<std::mutex> lk(gViolationMu);
-        gViolations.clear();
-    }
-    u64 checksBefore = ownership::checksPerformed();
+    AuditScope audit;
 
     auto k = createBenchmark("vectoradd", 0.05);
     ChipConfig cfg;
@@ -188,8 +214,15 @@ TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
                            " workers");
     }
 
+    EXPECT_GT(audit.checksMade(), 0u)
+        << "the audited run must actually exercise ownership checks";
+}
+
+TEST(PassOwnership, BoundPhaseIsOwnershipCleanOnShippedKernel)
+{
     // Every shipped kernel's own traffic shape once, on a 4-SM chip
-    // with 2 bound-phase workers.
+    // with 2 bound-phase workers and the auditor armed.
+    AuditScope audit;
     for (const BenchmarkInfo& info : allBenchmarks()) {
         auto kernel = createBenchmark(info.name, 0.05);
         ChipConfig small;
@@ -202,11 +235,8 @@ TEST(ChipDeterminism, OwnershipAuditCleanAcrossWorkerCounts)
         expectNoViolations(info.name);
     }
 
-    ownership::setAuditing(prevAuditing);
-    ownership::setViolationHandler(prev);
-
-    EXPECT_GT(ownership::checksPerformed(), checksBefore)
-        << "the audited run must actually exercise ownership checks";
+    EXPECT_GT(audit.checksMade(), 0u)
+        << "the audited runs must actually exercise ownership checks";
 }
 
 TEST(ChipDeterminism, WorkerCountResolution)
