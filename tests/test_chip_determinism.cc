@@ -19,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "common/ownership.hh"
+#include "common/worker_pool.hh"
 #include "kernels/registry.hh"
 #include "sim/simulator.hh"
 #include "sm/chip.hh"
@@ -136,6 +139,184 @@ TEST(ChipDeterminism, WorkerCountBitIdentical_1_2_4_8)
                 << w.name << " diverges with " << workers << " workers";
         }
     }
+}
+
+// ---- Exact golden of every chip statistic ------------------------------
+
+/** One chip run of the golden: a label and the chip it runs. */
+struct GoldenRun
+{
+    std::string label;
+    std::string kernel;
+    double scale = 0.0;
+    u32 numSms = 0;
+    u32 chipDramBytesPerCycle = 0;
+    Cycle quantum = 0;
+};
+
+GoldenRun
+goldenRun(const std::string& group, const std::string& kernel,
+          double scale, u32 numSms, u32 bytesPerCycle, Cycle quantum)
+{
+    std::ostringstream label;
+    label << group << "/" << kernel << "/" << numSms << "sm/"
+          << bytesPerCycle << "B/q" << quantum;
+    return {label.str(), kernel, scale, numSms, bytesPerCycle, quantum};
+}
+
+/**
+ * Every shipped kernel on a small chip, three traffic shapes on 8 SMs,
+ * eight seeded random chips, and the validation exhibit's kernels at a
+ * quantum above the 400-cycle DRAM latency, where fenced sub-rounds
+ * are sure to run.
+ */
+std::vector<GoldenRun>
+goldenRuns()
+{
+    std::vector<GoldenRun> runs;
+    for (const BenchmarkInfo& info : allBenchmarks())
+        runs.push_back(goldenRun("kernel", info.name, 0.05, 4, 256, 64));
+    // Regular streaming, irregular data-dependent, and barrier-heavy.
+    runs.push_back(goldenRun("shape", "vectoradd", 0.05, 8, 64, 64));
+    runs.push_back(goldenRun("shape", "bfs", 0.04, 8, 64, 64));
+    runs.push_back(goldenRun("shape", "needle", 0.04, 8, 64, 64));
+
+    std::mt19937 rng(12345);
+    const char* kernels[] = {"vectoradd", "bfs"};
+    const Cycle quanta[] = {16, 64, 256, 1024};
+    for (int iter = 0; iter < 8; ++iter) {
+        u32 sms = 1 + static_cast<u32>(rng() % 32);
+        u32 bw = 8u << (rng() % 6);
+        Cycle quantum = quanta[rng() % 4];
+        rng.discard(2); // unused draws: keeps the golden's seeded configs
+        runs.push_back(goldenRun("random" + std::to_string(iter),
+                                 kernels[iter % 2], 0.02, sms, bw,
+                                 quantum));
+    }
+
+    for (const char* name :
+         {"vectoradd", "sgemv", "bfs", "hotspot", "needle"})
+        runs.push_back(goldenRun("fenced", name, 0.1, 4, 32, 1024));
+    return runs;
+}
+
+/** FNV-1a over every SM's exported statistics, names and values. */
+u64
+smStatsDigest(const ChipStats& cs)
+{
+    u64 h = 14695981039346656037ull;
+    auto mixByte = [&h](u8 b) {
+        h ^= b;
+        h *= 1099511628211ull;
+    };
+    for (const SmStats& s : cs.sms) {
+        const StatSet set = s.toStatSet();
+        for (const auto& [name, value] : set.entries()) {
+            for (char c : name)
+                mixByte(static_cast<u8>(c));
+            mixByte(0);
+            u64 bits = std::bit_cast<u64>(value);
+            for (int i = 0; i < 8; ++i)
+                mixByte(static_cast<u8>(bits >> (8 * i)));
+        }
+    }
+    return h;
+}
+
+/** The golden line of one run, after its label. */
+std::string
+goldenFields(const ChipStats& cs)
+{
+    std::ostringstream os;
+    os << "cycles=" << cs.cycles << " dram=" << cs.dram.sectors()
+       << " tex=" << cs.texDram.sectors() << " sm_sectors=";
+    for (size_t i = 0; i < cs.perSmDramSectors.size(); ++i)
+        os << (i != 0 ? "," : "") << cs.perSmDramSectors[i];
+    os << " windows=" << cs.windows << " passes=" << cs.boundPasses
+       << " weave_reqs=" << cs.weaveRequests
+       << " stall=" << cs.weaveStallCycles << " quanta=" << cs.smQuantaRun
+       << "/" << cs.smQuantaSkipped << " stats=" << std::hex
+       << smStatsDigest(cs);
+    return os.str();
+}
+
+/** Structural invariants of any chip run. */
+void
+expectWellFormed(const GoldenRun& r, const ChipStats& cs)
+{
+    EXPECT_EQ(cs.perSmDramSectors.size(), r.numSms) << r.label;
+    EXPECT_EQ(cs.sms.size(), r.numSms) << r.label;
+    u64 sectorSum = 0;
+    for (u64 s : cs.perSmDramSectors)
+        sectorSum += s;
+    EXPECT_EQ(sectorSum, cs.dram.sectors() + cs.texDram.sectors())
+        << r.label << ": per-SM DRAM shares must add up to the chip "
+        << "traffic";
+    EXPECT_GE(cs.cycles, 1u) << r.label;
+    // Every window except the final all-finished one runs >= 1 SM.
+    EXPECT_GE(cs.smQuantaRun + 1, cs.windows) << r.label;
+}
+
+std::string
+goldenPath()
+{
+    return std::string(UNIMEM_SOURCE_DIR) + "/tests/golden/chip_stats.golden";
+}
+
+TEST(ChipGolden, StatsMatchGoldenFile)
+{
+    const std::vector<GoldenRun> runs = goldenRuns();
+
+    // Independent chips side by side on one pool, each writing its own
+    // slot, as reproduce ext_chip_validation runs them; the
+    // ThreadSanitizer gate (scripts/check.sh --tsan-only) replays this.
+    std::vector<ChipStats> stats(runs.size());
+    WorkerPool pool(4);
+    pool.parallelFor(static_cast<u32>(runs.size()), [&](u32 i) {
+        const GoldenRun& r = runs[i];
+        auto k = createBenchmark(r.kernel, r.scale);
+        ChipConfig cfg;
+        cfg.numSms = r.numSms;
+        cfg.chipDramBytesPerCycle = r.chipDramBytesPerCycle;
+        cfg.quantum = r.quantum;
+        cfg.sm = smConfigFor(*k);
+        ChipModel chip(cfg, *k);
+        stats[i] = chip.run();
+    });
+
+    std::vector<std::string> lines;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        expectWellFormed(runs[i], stats[i]);
+        lines.push_back(runs[i].label + " " + goldenFields(stats[i]));
+    }
+
+    if (std::getenv("UNIMEM_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream out(goldenPath());
+        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath();
+        out << "# Chip statistics, exact; regenerate with\n"
+            << "# UNIMEM_UPDATE_GOLDEN=1 ./build/tests/"
+               "test_chip_determinism --gtest_filter='ChipGolden.*'\n"
+            << "# label: group/kernel/SMs/chip DRAM B per cycle/quantum; "
+               "stats: FNV-1a of every SM's toStatSet\n";
+        for (const std::string& l : lines)
+            out << l << '\n';
+        GTEST_SKIP() << "golden regenerated at " << goldenPath();
+    }
+
+    std::ifstream in(goldenPath());
+    ASSERT_TRUE(in.good())
+        << "missing " << goldenPath()
+        << " - regenerate with UNIMEM_UPDATE_GOLDEN=1";
+    std::vector<std::string> golden;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        golden.push_back(line);
+    }
+    ASSERT_EQ(golden.size(), lines.size());
+    for (size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i], golden[i]);
 }
 
 // ---- Ownership audit: bound-phase isolation by construction -----------
