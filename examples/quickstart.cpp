@@ -23,11 +23,13 @@ main(int argc, char** argv)
 {
     CliArgs args(argc, argv, "usage: quickstart [flags]",
                  {{"benchmark", "NAME", "registry benchmark (default needle)"},
-                  {"capacity-kb", "N", "unified capacity (default 384)"},
+                  {"capacity-kb", "N",
+                   "unified capacity, 1 to 8192 (default 384)"},
                   {"scale", "F", "workload scale (default 1.0)"},
                   {"dump-stats", "", "print every unified-run statistic"}});
     std::string name = args.getString("benchmark", "needle");
-    u64 capacity = u64{args.getCount("capacity-kb", 384)} * 1024;
+    u64 capacity =
+        u64{args.getCountIn("capacity-kb", 384, 1, kMaxCapacityKb)} * 1024;
     double scale = args.getDouble("scale", 1.0);
 
     if (findBenchmark(name) == nullptr) {

@@ -8,28 +8,25 @@
 #      promoted to errors (tools/unimem_lint --Werror); the
 #      machine-readable report is written to build/lint_report.json for
 #      CI to archive
-#   3. concurrency: rebuild the sweep and bound-weave chip engines
+#   3. concurrency: rebuild the sweep engine and the chip golden
 #      under ThreadSanitizer and run test_sweep plus
-#      test_chip_determinism (randomized ChipConfig stress) to catch
-#      data races the functional suite cannot see
-#   4. ownership: rebuild test_chip_determinism in Debug (auditing
-#      defaults on) with UNIMEM_OWNERSHIP_AUDIT=1 so any cross-actor
-#      access during a bound phase panics deterministically — the
-#      by-construction complement to TSan's timing-dependent detection
-#   5. memory: rebuild the analyzer, integration and reference-SM
+#      test_chip_determinism (independent ChipModels side by side on
+#      one worker pool, as reproduce ext_chip_validation runs them) to
+#      catch data races the functional suite cannot see
+#   4. memory: rebuild the analyzer, integration and reference-SM
 #      differential tests, the footprint-pass oracle and the trace
 #      parser's TraceIo cases under AddressSanitizer+UBSan and run them
 #      with halt_on_error (the differential test drives the whole SM
 #      issue path of both SmModel and the per-cycle reference; the
 #      oracle and the parser are the code a hostile trace reaches)
-#   6. tidy (opt-in via --tidy): clang-tidy over src/ using the compile
+#   5. tidy (opt-in via --tidy): clang-tidy over src/ using the compile
 #      database; skipped with a notice when clang-tidy is absent
 #
 # Usage: scripts/check.sh [--tier1-only] [--tsan-only] [--asan-only]
-#                         [--lint-only] [--ownership-only] [--tidy]
-# Release, sanitizer and debug trees live in build-release/,
-# build-tsan/, build-asan/, and build-debug/ so they never pollute the
-# main build; all build trees are .gitignore'd.
+#                         [--lint-only] [--tidy]
+# Release and sanitizer trees live in build-release/, build-tsan/ and
+# build-asan/ so they never pollute the main build; all build trees
+# are .gitignore'd.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,16 +35,14 @@ JOBS=${JOBS:-$(nproc)}
 run_tier1=1
 run_lint=1
 run_tsan=1
-run_ownership=1
 run_asan=1
 run_tidy=0
 for arg in "$@"; do
     case "$arg" in
-      --tier1-only) run_lint=0; run_tsan=0; run_ownership=0; run_asan=0 ;;
-      --lint-only)  run_tier1=0; run_tsan=0; run_ownership=0; run_asan=0 ;;
-      --tsan-only)  run_tier1=0; run_lint=0; run_ownership=0; run_asan=0 ;;
-      --ownership-only) run_tier1=0; run_lint=0; run_tsan=0; run_asan=0 ;;
-      --asan-only)  run_tier1=0; run_lint=0; run_tsan=0; run_ownership=0 ;;
+      --tier1-only) run_lint=0; run_tsan=0; run_asan=0 ;;
+      --lint-only)  run_tier1=0; run_tsan=0; run_asan=0 ;;
+      --tsan-only)  run_tier1=0; run_lint=0; run_asan=0 ;;
+      --asan-only)  run_tier1=0; run_lint=0; run_tsan=0 ;;
       --tidy)       run_tidy=1 ;;
       *) echo "unknown flag: $arg" >&2; exit 2 ;;
     esac
@@ -77,7 +72,7 @@ if [[ $run_lint -eq 1 ]]; then
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
-    echo "=== ThreadSanitizer: sweep + bound-weave chip engines ==="
+    echo "=== ThreadSanitizer: sweep engine + concurrent chips ==="
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
@@ -88,17 +83,6 @@ if [[ $run_tsan -eq 1 ]]; then
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sweep
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_chip_determinism
-fi
-
-if [[ $run_ownership -eq 1 ]]; then
-    echo "=== ownership audit: bound-phase isolation (Debug) ==="
-    cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
-    cmake --build build-debug -j "$JOBS" --target test_chip_determinism
-    # Auditing defaults on in Debug; the env var pins it on explicitly.
-    # Any cross-actor access panics, so a violation is a hard failure
-    # at every worker count the suite sweeps (1/2/4/8) and on every
-    # shipped kernel's 4-SM, 2-worker run.
-    UNIMEM_OWNERSHIP_AUDIT=1 ./build-debug/tests/test_chip_determinism
 fi
 
 if [[ $run_asan -eq 1 ]]; then

@@ -1,11 +1,8 @@
 /**
  * @file
- * Persistent worker-thread pool shared by the parallel engines.
- *
- * Extracted from the PR-1 sweep engine so that other deterministic
- * parallel drivers (the chip-level bound-weave co-simulator, nested
- * batch runners) can reuse one pool implementation instead of spawning
- * threads per batch. The pool keeps `workers - 1` threads parked on a
+ * Persistent worker-thread pool shared by the parallel drivers: the
+ * sweep engine and the chip validation exhibit, which runs whole chips
+ * side by side. The pool keeps `workers - 1` threads parked on a
  * condition variable; each dispatch() wakes them, runs one task per
  * slot with the calling thread participating as slot 0, and returns
  * once every slot finished. parallelFor() layers dynamic index claiming

@@ -28,7 +28,6 @@ DramModel::occupy(Cycle now, u32 sectors)
 Cycle
 DramModel::read(Cycle now, u32 sectors)
 {
-    ownership::check(owner_, "DramModel::read");
     Cycle drained = occupy(now, sectors);
     ++stats_.readRequests;
     stats_.readSectors += sectors;
@@ -38,7 +37,6 @@ DramModel::read(Cycle now, u32 sectors)
 Cycle
 DramModel::write(Cycle now, u32 sectors)
 {
-    ownership::check(owner_, "DramModel::write");
     Cycle drained = occupy(now, sectors);
     ++stats_.writeRequests;
     stats_.writeSectors += sectors;

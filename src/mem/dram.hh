@@ -16,7 +16,6 @@
 #define UNIMEM_MEM_DRAM_HH
 
 #include "arch/gpu_constants.hh"
-#include "common/ownership.hh"
 #include "common/types.hh"
 
 namespace unimem {
@@ -58,18 +57,9 @@ class DramModel
 
     const DramStats& stats() const { return stats_; }
 
-    /**
-     * Tag this controller as shared chip state (chip mode): read()/
-     * write() then assert they run under @p owner — the weaver — so a
-     * bound-phase SM can never time traffic against a shared
-     * controller (common/ownership.hh).
-     */
-    void setOwner(ownership::Actor owner) { owner_ = owner; }
-
   private:
     Cycle occupy(Cycle now, u32 sectors);
 
-    ownership::Actor owner_ = ownership::kNoActor;
     u32 bytesPerCycle_;
     u32 latency_;
     Cycle nextFree_ = 0;

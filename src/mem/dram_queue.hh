@@ -4,10 +4,10 @@
  *
  * In the bound phase each SM advances privately and, instead of calling
  * the shared DramModel directly, records its global/texture traffic
- * here. In the weave phase a single thread merges all SMs' queues in a
+ * here. In the weave phase the chip merges all SMs' queues in a
  * canonical (cycle, smId) order and replays them against the shared
  * memory controllers, so the contention outcome is independent of the
- * worker count and of the order in which SMs ran (DESIGN.md Section 10).
+ * order in which SMs ran (DESIGN.md Section 10).
  *
  * Two record granularities:
  *  - ungrouped requests (kNoGroup): posted stores, victim write-backs,
@@ -32,7 +32,6 @@
 
 #include <vector>
 
-#include "common/ownership.hh"
 #include "common/types.hh"
 
 namespace unimem {
@@ -82,21 +81,12 @@ class DramRequestQueue
     }
 
     /**
-     * Tag this queue with its owning SM (chip mode). Record-side
-     * mutations then assert the bound phase's data-isolation contract:
-     * only the owner SM's thread may record, and only the weaver may
-     * clear replayed state (common/ownership.hh).
-     */
-    void setOwner(ownership::Actor sm) { owner_ = sm; }
-
-    /**
      * Open a completion group for one load/texture instruction. Member
      * fills are added with recordRead(); close with endGroup().
      */
     u32
     beginGroup(u32 warp, u32 gen, RegId reg, Cycle extra)
     {
-        ownership::check(owner_, "DramRequestQueue::beginGroup");
         DeferredGroup g;
         g.warp = warp;
         g.gen = gen;
@@ -117,7 +107,6 @@ class DramRequestQueue
     bool
     endGroup(u32 g, Cycle known, bool wake, bool trackCompletion)
     {
-        ownership::check(owner_, "DramRequestQueue::endGroup");
         DeferredGroup& grp = groups_[g];
         if (grp.members == 0) {
             groups_.pop_back(); // groups are opened/closed LIFO
@@ -141,7 +130,6 @@ class DramRequestQueue
     recordRead(u8 channel, Cycle at, u32 sectors, u32 group,
                bool trackDrain)
     {
-        ownership::check(owner_, "DramRequestQueue::recordRead");
         requests_.push_back(
             {at, sectors, group, channel, true, trackDrain});
         ++totalRequests_;
@@ -159,7 +147,6 @@ class DramRequestQueue
     void
     recordWrite(u8 channel, Cycle at, u32 sectors, bool trackDrain)
     {
-        ownership::check(owner_, "DramRequestQueue::recordWrite");
         requests_.push_back(
             {at, sectors, kNoGroup, channel, false, trackDrain});
         ++totalRequests_;
@@ -186,9 +173,6 @@ class DramRequestQueue
     void
     clearReplayed()
     {
-        if (owner_ != ownership::kNoActor)
-            ownership::check(ownership::kWeaver,
-                             "DramRequestQueue::clearReplayed");
         requests_.clear();
         groups_.clear();
         minBound_ = kCycleNever;
@@ -196,7 +180,6 @@ class DramRequestQueue
 
   private:
     u32 dramLatency_;
-    ownership::Actor owner_ = ownership::kNoActor;
     u64 placeholderSeq_ = 0;
     Cycle lastPlaceholder_ = 0;
     Cycle minBound_ = kCycleNever;

@@ -16,6 +16,14 @@
 
 namespace unimem {
 
+/**
+ * Largest unified / Fermi-like capacity a flag may ask for, in KB: 8 MB,
+ * over 20x the paper's largest pool (384 KB). The cache's tag array
+ * grows with the capacity, so an unbounded value ends in std::bad_alloc
+ * instead of a result.
+ */
+constexpr u32 kMaxCapacityKb = 8192;
+
 /** Full description of one simulation run. */
 struct RunSpec
 {

@@ -1,12 +1,8 @@
 #include "sm/chip.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <thread>
 
 #include "common/log.hh"
-#include "common/ownership.hh"
-#include "common/worker_pool.hh"
 
 namespace unimem {
 
@@ -52,26 +48,6 @@ ChipStats::quantumUtilization() const
                      static_cast<double>(total);
 }
 
-u32
-ChipModel::resolveWorkerCount(u32 requested, u32 numSms)
-{
-    u32 workers = requested;
-    if (workers == 0) {
-        if (const char* env = std::getenv("UNIMEM_CHIP_JOBS")) {
-            long n = std::atol(env);
-            if (n > 0)
-                workers = static_cast<u32>(n);
-            else
-                warn("ignoring invalid UNIMEM_CHIP_JOBS='%s'", env);
-        }
-    }
-    if (workers == 0) {
-        u32 hw = std::thread::hardware_concurrency();
-        workers = hw == 0 ? 1 : hw;
-    }
-    return std::min(std::max<u32>(workers, 1), std::max<u32>(numSms, 1));
-}
-
 namespace {
 
 /** Runs before the DRAM members, which --sms=0 would give 0 B/cycle. */
@@ -95,20 +71,13 @@ ChipModel::ChipModel(const ChipConfig& cfg, const KernelModel& kernel)
       dram_(cfg.chipDramBytesPerCycle, cfg.sm.lat.dram),
       texDram_(cfg.chipDramBytesPerCycle, cfg.sm.lat.dram)
 {
-    // Ownership contract (common/ownership.hh): queue i records only
-    // under SM i's bound-phase actor; the shared controllers and every
-    // delivery entry point belong to the weaver.
-    dram_.setOwner(ownership::kWeaver);
-    texDram_.setOwner(ownership::kWeaver);
     for (u32 i = 0; i < cfg_.numSms; ++i) {
         queues_.push_back(
             std::make_unique<DramRequestQueue>(cfg_.sm.lat.dram));
-        queues_.back()->setOwner(i);
         SmRunConfig sm_cfg = cfg_.sm;
         sm_cfg.seed = cfg_.sm.seed + i; // per-SM-distinct traces
         sms_.push_back(std::make_unique<SmModel>(sm_cfg, kernel,
                                                  queues_.back().get()));
-        sms_.back()->setDeliveryOwner(ownership::kWeaver);
     }
 }
 
@@ -117,7 +86,6 @@ ChipModel::~ChipModel() = default;
 void
 ChipModel::weave()
 {
-    ownership::ScopedActor actor(ownership::kWeaver);
     // Canonical replay order: by issue cycle, ties by smId, ties within
     // one SM in record order (the merge array is built in smId order
     // and the sort is stable). Per-SM record order is nondecreasing in
@@ -182,13 +150,7 @@ ChipModel::run()
     for (auto& sm : sms_)
         sm->start();
 
-    u32 workers = resolveWorkerCount(cfg_.workers, cfg_.numSms);
-    stats_.workersUsed = workers;
     stats_.perSmDramSectors.assign(cfg_.numSms, 0);
-    WorkerPool pool(workers);
-
-    std::vector<u32> runnable;
-    runnable.reserve(cfg_.numSms);
 
     Cycle window_end = cfg_.quantum;
     const u64 guard_limit = 2ull * 1000 * 1000 * 1000;
@@ -196,41 +158,38 @@ ChipModel::run()
 
     for (;;) {
         // ---- one window: bound sub-rounds + weave to a fixpoint ----
-        // With quantum <= DRAM latency every deferred completion fence
-        // lies beyond the window and this loop runs exactly once; with
-        // larger quanta, fenced SMs stall mid-window and need another
-        // pass after the weave resolves their loads.
+        // An SM stops short of the window end when an unresolved
+        // deferred completion fences it: either the fence itself lies
+        // inside the window (quantum > DRAM latency), or every warp
+        // waits on a deferred load and nothing else is left to do
+        // before the weave (any quantum). Such an SM gets another pass
+        // once the weave has resolved its loads.
         bool first_pass = true;
         for (;;) {
-            runnable.clear();
-            for (u32 i = 0; i < cfg_.numSms; ++i) {
-                if (sms_[i]->finished())
+            // SMs only touch their own queue here, so advancing them
+            // one by one in smId order equals any interleaving.
+            u64 ran = 0;
+            for (auto& sm : sms_) {
+                if (sm->finished())
                     continue;
-                if (sms_[i]->now() < window_end)
-                    runnable.push_back(i);
-                else if (first_pass)
-                    ++stats_.smQuantaSkipped;
+                if (sm->now() >= window_end) {
+                    if (first_pass)
+                        ++stats_.smQuantaSkipped;
+                    continue;
+                }
+                sm->advance(window_end);
+                ++ran;
+                if (!sm->finished() && sm->now() < window_end)
+                    stats_.weaveStallCycles += window_end - sm->now();
             }
             if (first_pass)
-                stats_.smQuantaRun += runnable.size();
+                stats_.smQuantaRun += ran;
             first_pass = false;
-            if (runnable.empty())
+            if (ran == 0)
                 break;
             if (++guard > guard_limit)
                 panic("ChipModel: window guard tripped");
-
-            pool.parallelFor(
-                static_cast<u32>(runnable.size()), [&](u32 j) {
-                    ownership::ScopedActor actor(runnable[j]);
-                    sms_[runnable[j]]->advance(window_end);
-                });
             ++stats_.boundPasses;
-
-            for (u32 i : runnable) {
-                if (!sms_[i]->finished() && sms_[i]->now() < window_end)
-                    stats_.weaveStallCycles +=
-                        window_end - sms_[i]->now();
-            }
             weave();
         }
         ++stats_.windows;

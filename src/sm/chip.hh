@@ -1,7 +1,7 @@
 /**
  * @file
  * Chip-level co-simulation (validation of paper Section 5.1) with a
- * parallel two-phase bound-weave engine (DESIGN.md Section 10).
+ * two-phase bound-weave engine (DESIGN.md Section 10).
  *
  * The paper simulates a single SM and gives it 1/32 of the chip's DRAM
  * bandwidth, arguing that with many symmetric SMs this "simplifies
@@ -11,17 +11,17 @@
  * 32 SMs).
  *
  * Execution alternates two phases per conservative time quantum:
- *  - bound: every runnable SM advances privately to the window end on a
- *    worker pool, recording its DRAM traffic into a per-SM
- *    DramRequestQueue instead of timing it. SMs that already overshot
- *    the window (idle-jump memoization) are skipped entirely.
- *  - weave: a single thread merges all queues in the canonical
- *    (cycle, smId) order, replays them against the shared DramModels,
- *    and delivers the resolved load completions back to each SM.
+ *  - bound: every runnable SM advances privately to the window end, in
+ *    smId order on the calling thread, recording its DRAM traffic into
+ *    a per-SM DramRequestQueue instead of timing it. SMs that already
+ *    overshot the window (idle-jump memoization) are skipped entirely.
+ *  - weave: all queues are merged in the canonical (cycle, smId) order,
+ *    replayed against the shared DramModels, and the resolved load
+ *    completions are delivered back to each SM.
  *
- * Because the weave order and every SM's decision trace are functions
- * of the configuration alone, results are bit-identical regardless of
- * the worker count — the same invariant the sweep engine enforces.
+ * A window gives each SM only a few warp instructions, too little to
+ * pay for a thread hand-off, so the bound phase is serial; independent
+ * chips run in parallel instead (reproduce ext_chip_validation).
  *
  * Each SM executes its own 1/N grid share of the kernel with a
  * per-SM-distinct trace seed.
@@ -59,12 +59,7 @@ struct ChipConfig
      */
     Cycle quantum = 64;
 
-    /**
-     * Bound-phase worker threads. 0 resolves, in order, from the
-     * UNIMEM_CHIP_JOBS environment variable, then hardware
-     * concurrency; the result is capped to numSms. Any value produces
-     * identical simulation results.
-     */
+    /** Ignored: the bound phase runs on the calling thread. */
     u32 workers = 0;
 
     /** Per-SM configuration (design, partition, launch, options). */
@@ -87,8 +82,8 @@ struct ChipStats
     /** Per-SM share of replayed chip-DRAM sectors (both channels). */
     std::vector<u64> perSmDramSectors;
 
-    /** Bound-phase workers the run actually used. */
-    u32 workersUsed = 0;
+    /** Always 1: the bound phase runs on the calling thread. */
+    u32 workersUsed = 1;
 
     /** Quanta processed (empty windows are fast-forwarded, not run). */
     u64 windows = 0;
@@ -143,9 +138,6 @@ class ChipModel
     const ChipStats& run();
 
     const ChipStats& stats() const { return stats_; }
-
-    /** Worker count a run with this config would use (cfg resolution). */
-    static u32 resolveWorkerCount(u32 requested, u32 numSms);
 
   private:
     void weave();

@@ -458,7 +458,6 @@ void
 SmModel::deliverLoad(u32 warp, u32 gen, RegId reg, Cycle completion,
                      Cycle placeholder, bool trackCompletion)
 {
-    ownership::check(deliveryOwner_, "SmModel::deliverLoad");
     if (trackCompletion)
         lastCompletion_ = std::max(lastCompletion_, completion);
     // Push the wakeup even when the warp instance is gone: the

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "arch/kernel_model.hh"
-#include "common/ownership.hh"
 #include "core/conflict_model.hh"
 #include "mem/coalescer.hh"
 #include "mem/dram_queue.hh"
@@ -116,19 +115,8 @@ class SmModel
     void
     noteDrain(Cycle c)
     {
-        ownership::check(deliveryOwner_, "SmModel::noteDrain");
         if (c > lastCompletion_)
             lastCompletion_ = c;
-    }
-
-    /**
-     * Chip mode: restrict deliverLoad()/noteDrain() to @p owner (the
-     * weaver). A bound-phase worker calling a delivery entry point is
-     * exactly the cross-SM mutation the bound-weave contract forbids.
-     */
-    void setDeliveryOwner(ownership::Actor owner)
-    {
-        deliveryOwner_ = owner;
     }
 
     /**
@@ -432,8 +420,6 @@ class SmModel
     std::vector<CoalescedAccess> coalesceScratch_;
 
     std::vector<IssueRecord>* issueTrace_ = nullptr;
-
-    ownership::Actor deliveryOwner_ = ownership::kNoActor;
 
     SmStats stats_;
 };

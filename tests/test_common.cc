@@ -12,7 +12,6 @@
 
 #include "common/cli.hh"
 #include "common/log.hh"
-#include "common/ownership.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -136,7 +135,7 @@ const std::vector<CliFlag> kDeclared = {
     {"scale", "F", "workload scale"},
     {"design", "NAME", "memory design"},
     {"jobs", "N", "sweep workers"},
-    {"chip-jobs", "N", "bound-phase workers"}};
+    {"sms", "N", "SMs on the chip"}};
 
 TEST(Cli, DeclaredFlagsParse)
 {
@@ -146,7 +145,7 @@ TEST(Cli, DeclaredFlagsParse)
     EXPECT_DOUBLE_EQ(args.getDouble("scale", 0.5), 0.01);
     EXPECT_EQ(args.getString("design", ""), "unified");
     EXPECT_EQ(args.getCount("jobs", 0), 4u);
-    EXPECT_EQ(args.getCount("chip-jobs", 7), 7u);
+    EXPECT_EQ(args.getCount("sms", 7), 7u);
 }
 
 TEST(Cli, UnknownFlagsAreFatalAndNamed)
@@ -175,10 +174,10 @@ TEST(Cli, NegativeCountsAreFatal)
     CliArgs a(2, jobs, "usage: prog", kDeclared);
     EXPECT_EXIT(a.getCount("jobs", 0), ::testing::ExitedWithCode(1),
                 "--jobs expects a non-negative count, got '-1'");
-    const char* chipJobs[] = {"prog", "--chip-jobs=-4"};
-    CliArgs b(2, chipJobs, "usage: prog", kDeclared);
-    EXPECT_EXIT(b.getCount("chip-jobs", 0), ::testing::ExitedWithCode(1),
-                "--chip-jobs expects a non-negative count, got '-4'");
+    const char* sms[] = {"prog", "--sms=-4"};
+    CliArgs b(2, sms, "usage: prog", kDeclared);
+    EXPECT_EXIT(b.getCount("sms", 0), ::testing::ExitedWithCode(1),
+                "--sms expects a non-negative count, got '-4'");
 }
 
 TEST(Cli, BoundedCountsCheckOnlyGivenValues)
@@ -207,106 +206,6 @@ TEST(Types, KbLiteral)
 {
     EXPECT_EQ(64_KB, 65536u);
     EXPECT_EQ(1_MB, 1048576u);
-}
-
-// ---- bound-phase ownership auditing -------------------------------------
-
-std::vector<ownership::Violation> gViolations;
-
-void
-recordViolation(const ownership::Violation& v)
-{
-    gViolations.push_back(v);
-}
-
-/** Arms auditing with a collecting handler; restores prior state. */
-class OwnershipFixture : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        gViolations.clear();
-        prevAuditing_ = ownership::auditing();
-        prevHandler_ = ownership::setViolationHandler(recordViolation);
-        ownership::setAuditing(true);
-    }
-
-    void
-    TearDown() override
-    {
-        ownership::setAuditing(prevAuditing_);
-        ownership::setViolationHandler(prevHandler_);
-    }
-
-  private:
-    bool prevAuditing_ = false;
-    ownership::Handler prevHandler_ = nullptr;
-};
-
-TEST_F(OwnershipFixture, ScopedActorNestsAndRestores)
-{
-    EXPECT_EQ(ownership::currentActor(), ownership::kNoActor);
-    {
-        ownership::ScopedActor sm(3);
-        EXPECT_EQ(ownership::currentActor(), 3u);
-        {
-            ownership::ScopedActor weaver(ownership::kWeaver);
-            EXPECT_EQ(ownership::currentActor(), ownership::kWeaver);
-        }
-        EXPECT_EQ(ownership::currentActor(), 3u);
-    }
-    EXPECT_EQ(ownership::currentActor(), ownership::kNoActor);
-}
-
-TEST_F(OwnershipFixture, MatchingActorPasses)
-{
-    ownership::ScopedActor sm(2);
-    u64 before = ownership::checksPerformed();
-    ownership::check(2, "test-site");
-    EXPECT_TRUE(gViolations.empty());
-    EXPECT_EQ(ownership::checksPerformed(), before + 1);
-}
-
-TEST_F(OwnershipFixture, MismatchInvokesHandlerWithDetails)
-{
-    ownership::ScopedActor sm(1);
-    ownership::check(4, "DramRequestQueue::recordRead");
-    ASSERT_EQ(gViolations.size(), 1u);
-    EXPECT_EQ(gViolations[0].actor, 1u);
-    EXPECT_EQ(gViolations[0].owner, 4u);
-    EXPECT_STREQ(gViolations[0].site, "DramRequestQueue::recordRead");
-    // The rendered form names both parties and the site.
-    std::string s = gViolations[0].str();
-    EXPECT_NE(s.find("sm1"), std::string::npos) << s;
-    EXPECT_NE(s.find("sm4"), std::string::npos) << s;
-    EXPECT_NE(s.find("DramRequestQueue::recordRead"), std::string::npos)
-        << s;
-}
-
-TEST_F(OwnershipFixture, UnownedResourcesAreExempt)
-{
-    // kNoActor owner = single-SM mode; ownership is a chip contract.
-    ownership::ScopedActor sm(1);
-    ownership::check(ownership::kNoActor, "test-site");
-    EXPECT_TRUE(gViolations.empty());
-}
-
-TEST_F(OwnershipFixture, DisabledAuditingSkipsChecks)
-{
-    ownership::setAuditing(false);
-    ownership::ScopedActor sm(1);
-    u64 before = ownership::checksPerformed();
-    ownership::check(4, "test-site"); // mismatch, but auditing is off
-    EXPECT_TRUE(gViolations.empty());
-    EXPECT_EQ(ownership::checksPerformed(), before);
-}
-
-TEST_F(OwnershipFixture, ActorNames)
-{
-    EXPECT_EQ(ownership::actorName(0), "sm0");
-    EXPECT_EQ(ownership::actorName(ownership::kWeaver), "weaver");
-    EXPECT_EQ(ownership::actorName(ownership::kNoActor), "none");
 }
 
 } // namespace

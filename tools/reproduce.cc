@@ -5,6 +5,7 @@
 
 #include "common/log.hh"
 #include "common/table.hh"
+#include "common/worker_pool.hh"
 #include "core/partition.hh"
 #include "energy/energy_model.hh"
 #include "kernels/registry.hh"
@@ -1039,59 +1040,69 @@ extAblations(const ExhibitConfig& cfg, std::ostream& os)
  * 8 bytes per cycle of DRAM bandwidth stands in for a chip whose SMs
  * share DRAM evenly — against a chip-level co-simulation of --sms SMs
  * sharing one N x 8 B/cycle channel, and shows the contention when chip
- * bandwidth does not scale with SM count. The chip runs parallelize
- * inside the bound-weave engine (--chip-jobs), not on the sweep pool.
+ * bandwidth does not scale with SM count. Each workload's three runs
+ * (single SM, fair chip, half-bandwidth chip) are independent, so all
+ * of them go on one --jobs pool.
  */
 void
 extChipValidation(const ExhibitConfig& cfg, std::ostream& os)
 {
     os << "=== EXTENSION: single-SM methodology vs chip-level "
           "co-simulation ("
-       << cfg.sms << " SMs, "
-       << ChipModel::resolveWorkerCount(cfg.chipJobs, cfg.sms)
-       << " bound-weave workers, quantum " << cfg.quantum << ") ===\n\n";
+       << cfg.sms << " SMs, quantum " << cfg.quantum << ") ===\n\n";
 
-    Table t({"workload", "single-SM cycles", "chip max-SM cycles", "error",
-             "imbalance", "chip @ half bandwidth", "weave reqs",
-             "windows"});
-    for (const char* name :
-         {"vectoradd", "sgemv", "bfs", "hotspot", "needle"}) {
-        auto k = createBenchmark(name, cfg.scale);
+    const char* const names[] = {"vectoradd", "sgemv", "bfs", "hotspot",
+                                 "needle"};
+    constexpr u32 kNames = std::size(names);
+    std::vector<SmStats> single(kNames);
+    std::vector<ChipStats> fair(kNames);
+    std::vector<Cycle> halfCycles(kNames);
+    // Jobs [0, 2 kNames) are the chips, fair and half per workload, so
+    // the long runs start first; the single SMs fill in behind them.
+    WorkerPool pool(
+        std::min(SweepRunner::resolveWorkerCount(cfg.jobs), 3 * kNames));
+    pool.parallelFor(3 * kNames, [&](u32 job) {
+        const u32 w = job < 2 * kNames ? job / 2 : job - 2 * kNames;
+        auto k = createBenchmark(names[w], cfg.scale);
         SmRunConfig smCfg;
         smCfg.partition = baselinePartition();
         smCfg.launch =
             occupancyPartitioned(k->params(), smCfg.partition.rfBytes,
                                  smCfg.partition.sharedBytes);
-        SmStats single = runKernel(smCfg, *k);
-
-        ChipConfig fair;
-        fair.numSms = cfg.sms;
+        if (job >= 2 * kNames) {
+            single[w] = runKernel(smCfg, *k);
+            return;
+        }
+        ChipConfig chip;
+        chip.numSms = cfg.sms;
         // reproduce() bounds cfg.sms, so the product cannot wrap.
-        fair.chipDramBytesPerCycle = cfg.sms * smCfg.dramBytesPerCycle;
-        fair.workers = cfg.chipJobs;
-        fair.quantum = cfg.quantum;
-        fair.sm = smCfg;
-        auto kf = createBenchmark(name, cfg.scale);
-        ChipModel chip(fair, *kf);
-        const ChipStats& cs = chip.run();
+        chip.chipDramBytesPerCycle = cfg.sms * smCfg.dramBytesPerCycle;
+        chip.quantum = cfg.quantum;
+        chip.sm = smCfg;
+        if (job % 2 == 0) {
+            fair[w] = ChipModel(chip, *k).run();
+        } else {
+            chip.chipDramBytesPerCycle /= 2;
+            halfCycles[w] = ChipModel(chip, *k).run().cycles;
+        }
+    });
 
-        ChipConfig half = fair;
-        half.chipDramBytesPerCycle = fair.chipDramBytesPerCycle / 2;
-        auto kh = createBenchmark(name, cfg.scale);
-        ChipModel chipHalf(half, *kh);
-        Cycle halfCycles = chipHalf.run().cycles;
-
+    Table t({"workload", "single-SM cycles", "chip max-SM cycles", "error",
+             "imbalance", "chip @ half bandwidth", "weave reqs",
+             "windows"});
+    for (u32 w = 0; w < kNames; ++w) {
+        const ChipStats& cs = fair[w];
         double err = static_cast<double>(cs.maxSmCycles()) /
-                         static_cast<double>(single.cycles) -
+                         static_cast<double>(single[w].cycles) -
                      1.0;
         double imb = static_cast<double>(cs.maxSmCycles()) /
                          static_cast<double>(cs.minSmCycles()) -
                      1.0;
-        t.addRow({name, std::to_string(single.cycles),
+        t.addRow({names[w], std::to_string(single[w].cycles),
                   std::to_string(cs.maxSmCycles()),
                   Table::num(err * 100.0, 1) + "%",
                   Table::num(imb * 100.0, 1) + "%",
-                  Table::num(static_cast<double>(halfCycles) /
+                  Table::num(static_cast<double>(halfCycles[w]) /
                                  static_cast<double>(cs.cycles),
                              2) +
                       "x",

@@ -29,9 +29,8 @@ struct ExhibitConfig
     /** fig7 / fig9 ablation: false runs both designs without ORF/LRF. */
     bool rfHierarchy = true;
 
-    /** ext_chip_validation: SM count, bound-phase workers, quantum. */
+    /** ext_chip_validation: SM count and quantum. */
     u32 sms = 8;
-    u32 chipJobs = 0;
     Cycle quantum = 64;
 };
 

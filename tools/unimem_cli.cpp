@@ -39,13 +39,6 @@ using namespace unimem;
 
 namespace {
 
-/**
- * Largest --capacity-kb: 8 MB, over 20x the paper's largest pool
- * (384 KB). The cache's tag array grows with the capacity, so an
- * unbounded value ends in std::bad_alloc instead of a result.
- */
-constexpr u32 kMaxCapacityKb = 8192;
-
 /** Anything from 1 up: --chip-bw and --quantum. */
 constexpr u32 kNoUpperBound = ~u32(0);
 
@@ -253,7 +246,6 @@ cmdChip(const CliArgs& args)
     // sms <= kMaxSms, so the default cannot wrap.
     cc.chipDramBytesPerCycle =
         args.getCountIn("chip-bw", sms * kDramBytesPerCycle, 1, kNoUpperBound);
-    cc.workers = args.getCount("chip-jobs", 0);
     cc.quantum = args.getCountIn("quantum", 64, 1, kNoUpperBound);
     cc.sm.design = spec.design == DesignKind::FermiLike
                        ? DesignKind::Partitioned
@@ -275,10 +267,8 @@ cmdChip(const CliArgs& args)
               << "  total warp instrs " << cs.warpInstrs()
               << ", chip dram sectors "
               << cs.dram.sectors() + cs.texDram.sectors() << "\n"
-              << "  bound-weave: " << cs.workersUsed << " worker"
-              << (cs.workersUsed == 1 ? "" : "s") << ", "
-              << cs.windows << " windows, " << cs.boundPasses
-              << " bound passes, " << cs.weaveRequests
+              << "  bound-weave: " << cs.windows << " windows, "
+              << cs.boundPasses << " bound passes, " << cs.weaveRequests
               << " replayed requests, quantum util "
               << Table::num(cs.quantumUtilization() * 100.0, 1)
               << "%\n"
@@ -335,7 +325,6 @@ cmdReproduce(const CliArgs& args)
     cfg.jobs = args.getCount("jobs", cfg.jobs);
     cfg.rfHierarchy = !args.getBool("no-rf-hierarchy", false);
     cfg.sms = args.getCount("sms", cfg.sms);
-    cfg.chipJobs = args.getCount("chip-jobs", cfg.chipJobs);
     cfg.quantum = args.getCountIn("quantum", static_cast<u32>(cfg.quantum),
                                   1, kNoUpperBound);
     reproduce(args.positional()[1], cfg, std::cout);
@@ -401,9 +390,6 @@ commands()
               {"sms", "N", "SMs on the chip, 1 to 256 (default 8)"},
               {"chip-bw", "N",
                "chip DRAM bytes/cycle, at least 1 (default 8 per SM)"},
-              {"chip-jobs", "N",
-               "bound-phase workers (default: UNIMEM_CHIP_JOBS or all cores, "
-               "capped to --sms; results are identical for any value)"},
               {"quantum", "N",
                "co-simulation quantum in cycles, at least 1 (default 64)"}}),
          cmdChip},
@@ -415,13 +401,12 @@ commands()
          "       unimem_cli reproduce --list",
          {{"list", "", "list the exhibits with their default scales"},
           {"scale", "F", "workload scale (default: each exhibit's own)"},
-          {"jobs", "N", "sweep workers (default: UNIMEM_JOBS or all cores)"},
+          {"jobs", "N",
+           "sweep workers, which also run ext_chip_validation's chips "
+           "(default: UNIMEM_JOBS or all cores)"},
           {"no-rf-hierarchy", "",
            "fig7/fig9 ablation: both designs without the ORF/LRF"},
           {"sms", "N", "ext_chip_validation: SMs on the chip (default 8)"},
-          {"chip-jobs", "N",
-           "ext_chip_validation: bound-phase workers (default: "
-           "UNIMEM_CHIP_JOBS or all cores)"},
           {"quantum", "N",
            "ext_chip_validation: quantum in cycles, at least 1 (default "
            "64)"}},
