@@ -1,14 +1,23 @@
 /**
  * @file
  * Determinism tier for the bound-weave chip engine (DESIGN.md
- * Section 10): every chip statistic is pinned exactly, and the
- * invariants that hold for any chip are checked.
+ * Section 10): every chip statistic is pinned exactly, no result may
+ * depend on how many chips run side by side, and the invariants that
+ * hold for any chip are checked.
  *
  *  - exact golden: 42 chip runs (every shipped kernel, three traffic
  *    shapes, eight seeded random chips, fenced sub-rounds at a quantum
  *    above the DRAM latency) against tests/golden/chip_stats.golden;
  *    the runs execute side by side on a worker pool, and the
  *    ThreadSanitizer gate (scripts/check.sh --tsan-only) replays them
+ *  - worker sweep: chips run side by side on pools of 1/2/4/8 workers
+ *    (as reproduce ext_chip_validation runs them under --jobs) over a
+ *    regular (vectoradd), an irregular (bfs), and a barrier-heavy
+ *    (needle) kernel, and the eight seeded random chips, must agree
+ *    bit for bit
+ *  - bound-phase ownership: on every shipped kernel only the weave
+ *    touches the chip's DRAM channels, and the per-SM sector shares
+ *    add up to the chip's traffic
  *  - quantum audit: which chip stats are quantum-invariant (work
  *    done) and which legitimately move (multi-SM contention timing)
  *  - symmetric-grid skew: a seed-independent compute-only kernel
@@ -68,23 +77,33 @@ goldenRun(const std::string& group, const std::string& kernel,
     return {label.str(), kernel, scale, numSms, bytesPerCycle, quantum};
 }
 
-/**
- * Every shipped kernel on a small chip, three traffic shapes on 8 SMs,
- * eight seeded random chips, and the validation exhibit's kernels at a
- * quantum above the 400-cycle DRAM latency, where fenced sub-rounds
- * are sure to run.
- */
+/** Every shipped kernel's own traffic shape on a small chip. */
 std::vector<GoldenRun>
-goldenRuns()
+kernelRuns()
 {
     std::vector<GoldenRun> runs;
     for (const BenchmarkInfo& info : allBenchmarks())
         runs.push_back(goldenRun("kernel", info.name, 0.05, 4, 256, 64));
-    // Regular streaming, irregular data-dependent, and barrier-heavy.
-    runs.push_back(goldenRun("shape", "vectoradd", 0.05, 8, 64, 64));
-    runs.push_back(goldenRun("shape", "bfs", 0.04, 8, 64, 64));
-    runs.push_back(goldenRun("shape", "needle", 0.04, 8, 64, 64));
+    return runs;
+}
 
+/** Regular streaming, irregular data-dependent, and barrier-heavy. */
+std::vector<GoldenRun>
+shapeRuns()
+{
+    return {goldenRun("shape", "vectoradd", 0.05, 8, 64, 64),
+            goldenRun("shape", "bfs", 0.04, 8, 64, 64),
+            goldenRun("shape", "needle", 0.04, 8, 64, 64)};
+}
+
+/**
+ * Eight chips drawn from a fixed seed, so a failure is reproducible:
+ * 1 to 32 SMs, 8 to 256 B/cycle of chip DRAM, quanta 16 to 1024.
+ */
+std::vector<GoldenRun>
+randomRuns()
+{
+    std::vector<GoldenRun> runs;
     std::mt19937 rng(12345);
     const char* kernels[] = {"vectoradd", "bfs"};
     const Cycle quanta[] = {16, 64, 256, 1024};
@@ -97,11 +116,50 @@ goldenRuns()
                                  kernels[iter % 2], 0.02, sms, bw,
                                  quantum));
     }
+    return runs;
+}
 
+/**
+ * The golden's runs: kernelRuns(), shapeRuns(), randomRuns(), and the
+ * validation exhibit's kernels at a quantum above the 400-cycle DRAM
+ * latency, where fenced sub-rounds are sure to run.
+ */
+std::vector<GoldenRun>
+goldenRuns()
+{
+    std::vector<GoldenRun> runs = kernelRuns();
+    for (const std::vector<GoldenRun>& group : {shapeRuns(), randomRuns()})
+        runs.insert(runs.end(), group.begin(), group.end());
     for (const char* name :
          {"vectoradd", "sgemv", "bfs", "hotspot", "needle"})
         runs.push_back(goldenRun("fenced", name, 0.1, 4, 32, 1024));
     return runs;
+}
+
+/**
+ * Runs every chip of @p runs side by side on a pool of @p workers,
+ * each into its own slot, as reproduce ext_chip_validation runs its
+ * chips under --jobs. ChipConfig::workers, which the bound phase
+ * ignores, is set to the pool size as well.
+ */
+std::vector<ChipStats>
+runOnPool(const std::vector<GoldenRun>& runs, u32 workers)
+{
+    std::vector<ChipStats> stats(runs.size());
+    WorkerPool pool(workers);
+    pool.parallelFor(static_cast<u32>(runs.size()), [&](u32 i) {
+        const GoldenRun& r = runs[i];
+        auto k = createBenchmark(r.kernel, r.scale);
+        ChipConfig cfg;
+        cfg.numSms = r.numSms;
+        cfg.chipDramBytesPerCycle = r.chipDramBytesPerCycle;
+        cfg.quantum = r.quantum;
+        cfg.workers = workers;
+        cfg.sm = smConfigFor(*k);
+        ChipModel chip(cfg, *k);
+        stats[i] = chip.run();
+    });
+    return stats;
 }
 
 /** FNV-1a over every SM's exported statistics, names and values. */
@@ -171,22 +229,9 @@ TEST(ChipGolden, StatsMatchGoldenFile)
 {
     const std::vector<GoldenRun> runs = goldenRuns();
 
-    // Independent chips side by side on one pool, each writing its own
-    // slot, as reproduce ext_chip_validation runs them; the
-    // ThreadSanitizer gate (scripts/check.sh --tsan-only) replays this.
-    std::vector<ChipStats> stats(runs.size());
-    WorkerPool pool(4);
-    pool.parallelFor(static_cast<u32>(runs.size()), [&](u32 i) {
-        const GoldenRun& r = runs[i];
-        auto k = createBenchmark(r.kernel, r.scale);
-        ChipConfig cfg;
-        cfg.numSms = r.numSms;
-        cfg.chipDramBytesPerCycle = r.chipDramBytesPerCycle;
-        cfg.quantum = r.quantum;
-        cfg.sm = smConfigFor(*k);
-        ChipModel chip(cfg, *k);
-        stats[i] = chip.run();
-    });
+    // Independent chips side by side on one pool; the ThreadSanitizer
+    // gate (scripts/check.sh --tsan-only) replays this.
+    const std::vector<ChipStats> stats = runOnPool(runs, 4);
 
     std::vector<std::string> lines;
     for (size_t i = 0; i < runs.size(); ++i) {
@@ -221,6 +266,73 @@ TEST(ChipGolden, StatsMatchGoldenFile)
     ASSERT_EQ(golden.size(), lines.size());
     for (size_t i = 0; i < lines.size(); ++i)
         EXPECT_EQ(lines[i], golden[i]);
+}
+
+// ---- Worker-count invariance: the core determinism contract -----------
+
+TEST(ChipDeterminism, WorkerCountBitIdentical_1_2_4_8)
+{
+    // The pool that runs chips side by side must never change a result,
+    // bit for bit. Each traffic shape runs twice per batch, so on the
+    // larger pools two copies of one chip also run at the same time.
+    const std::vector<GoldenRun> shapes = shapeRuns();
+    std::vector<GoldenRun> runs = shapes;
+    runs.insert(runs.end(), shapes.begin(), shapes.end());
+
+    const std::vector<ChipStats> reference = runOnPool(runs, 1);
+    for (size_t i = 0; i < runs.size(); ++i)
+        expectWellFormed(runs[i], reference[i]);
+    for (u32 workers : {2u, 4u, 8u}) {
+        const std::vector<ChipStats> stats = runOnPool(runs, workers);
+        for (size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(goldenFields(stats[i]), goldenFields(reference[i]))
+                << runs[i].label << " diverges on " << workers
+                << " workers";
+    }
+}
+
+TEST(ChipDeterminism, RandomConfigsAgreeAcrossWorkerCounts)
+{
+    // The eight seeded random chips, one after another and then all at
+    // once, must agree exactly. scripts/check.sh --tsan-only replays
+    // this whole binary under ThreadSanitizer to catch races the
+    // equality check cannot see.
+    const std::vector<GoldenRun> runs = randomRuns();
+    const std::vector<ChipStats> serial = runOnPool(runs, 1);
+    const std::vector<ChipStats> together = runOnPool(runs, 8);
+    for (size_t i = 0; i < runs.size(); ++i) {
+        expectWellFormed(runs[i], serial[i]);
+        EXPECT_EQ(goldenFields(together[i]), goldenFields(serial[i]))
+            << runs[i].label << " diverges when run beside the others";
+    }
+}
+
+// ---- Bound-phase ownership on every shipped kernel ---------------------
+
+TEST(PassOwnership, BoundPhaseIsOwnershipCleanOnShippedKernel)
+{
+    // In the bound phase an SM owns only its own state and its own DRAM
+    // queue; the chip's DRAM channels belong to the weave. So on every
+    // shipped kernel's own traffic shape (4 SMs, 2 chips at a time),
+    // the channels must have served exactly the requests the weave
+    // replayed, and the per-SM shares of the replayed sectors must add
+    // up to the chip's traffic.
+    const std::vector<GoldenRun> runs = kernelRuns();
+    const std::vector<ChipStats> stats = runOnPool(runs, 2);
+    u64 replayed = 0;
+    for (size_t i = 0; i < runs.size(); ++i) {
+        const ChipStats& cs = stats[i];
+        const u64 served = cs.dram.readRequests + cs.dram.writeRequests +
+                           cs.texDram.readRequests +
+                           cs.texDram.writeRequests;
+        EXPECT_EQ(served, cs.weaveRequests)
+            << runs[i].label << ": DRAM served requests the weave did "
+            << "not replay";
+        expectWellFormed(runs[i], cs);
+        replayed += cs.weaveRequests;
+    }
+    EXPECT_GT(replayed, 0u)
+        << "the shipped kernels must actually exercise the weave";
 }
 
 // ---- Quantum audit: what may and may not move with the quantum --------
