@@ -8,11 +8,12 @@
 #      promoted to errors (tools/unimem_lint --Werror); the
 #      machine-readable report is written to build/lint_report.json for
 #      CI to archive
-#   3. concurrency: rebuild the sweep engine and the chip golden
-#      under ThreadSanitizer and run test_sweep plus
-#      test_chip_determinism (independent ChipModels side by side on
-#      one worker pool, as reproduce ext_chip_validation runs them) to
-#      catch data races the functional suite cannot see
+#   3. concurrency: rebuild the worker pool, the sweep engine and the
+#      chip golden under ThreadSanitizer and run test_common (the
+#      pool's own dispatch tests), test_sweep and test_chip_determinism
+#      (independent ChipModels side by side on one worker pool, as
+#      reproduce ext_chip_validation runs them) to catch data races
+#      the functional suite cannot see
 #   4. memory: rebuild the analyzer, integration and reference-SM
 #      differential tests, the footprint-pass oracle and the trace
 #      parser's TraceIo cases under AddressSanitizer+UBSan and run them
@@ -72,14 +73,15 @@ if [[ $run_lint -eq 1 ]]; then
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
-    echo "=== ThreadSanitizer: sweep engine + concurrent chips ==="
+    echo "=== ThreadSanitizer: worker pool + sweep engine + concurrent chips ==="
     cmake -B build-tsan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
         -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" >/dev/null
-    cmake --build build-tsan -j "$JOBS" --target test_sweep \
-        --target test_chip_determinism
+    cmake --build build-tsan -j "$JOBS" --target test_common \
+        --target test_sweep --target test_chip_determinism
     # TSAN_OPTIONS halt_on_error makes any race a hard failure.
+    TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_common
     TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sweep
     TSAN_OPTIONS="halt_on_error=1" \
         ./build-tsan/tests/test_chip_determinism

@@ -1,145 +1,44 @@
 #include "common/worker_pool.hh"
 
 #include <algorithm>
-
-#include "common/log.hh"
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace unimem {
 
-WorkerPool::WorkerPool(u32 workers) : workers_(std::max<u32>(workers, 1))
+WorkerPool::WorkerPool(u32 workers)
+    : workers_(workers != 0
+                   ? workers
+                   : std::max(std::thread::hardware_concurrency(), 1u))
 {
-    threads_.reserve(workers_ - 1);
-    for (u32 i = 0; i + 1 < workers_; ++i)
-        threads_.emplace_back([this] { workerMain(); });
-}
-
-WorkerPool::~WorkerPool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread& t : threads_)
-        t.join();
 }
 
 void
-WorkerPool::runSlots(const std::function<void(u32)>& fn, u32 count)
+WorkerPool::dispatch(u32 n, const std::function<void(u32)>& fn) const
 {
-    for (;;) {
-        u32 slot = nextSlot_.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= count)
-            return;
-        std::exception_ptr err;
-        try {
-            fn(slot);
-        } catch (...) {
-            err = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (err && (!error_ || slot < errorSlot_)) {
-            error_ = err;
-            errorSlot_ = slot;
-        }
-        if (++slotsDone_ == count)
-            done_.notify_all();
-    }
-}
-
-void
-WorkerPool::workerMain()
-{
-    u64 seen = 0;
-    for (;;) {
-        const std::function<void(u32)>* fn = nullptr;
-        u32 count = 0;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return shutdown_ || generation_ != seen;
-            });
-            if (shutdown_)
-                return;
-            seen = generation_;
-            // A dispatch that already fully completed (slotCount_
-            // reset) leaves nothing to claim; go back to sleep without
-            // touching the claim counter of a future dispatch.
-            if (slotCount_ == 0)
-                continue;
-            fn = fn_;
-            count = slotCount_;
-            ++busyRunners_;
-        }
-        runSlots(*fn, count);
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--busyRunners_ == 0)
-                done_.notify_all();
-        }
-    }
-}
-
-void
-WorkerPool::dispatch(u32 slots, const std::function<void(u32)>& fn)
-{
-    if (slots == 0)
-        return;
-    if (workers_ == 1 || slots == 1) {
-        // Inline fast path: no synchronization, exceptions propagate
-        // directly (slot order is trivially deterministic).
-        for (u32 s = 0; s < slots; ++s)
-            fn(s);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fn_ = &fn;
-        slotCount_ = slots;
-        nextSlot_.store(0, std::memory_order_relaxed);
-        slotsDone_ = 0;
-        error_ = nullptr;
-        ++generation_;
-    }
-    wake_.notify_all();
-    runSlots(fn, slots); // the calling thread is worker 0
-
-    std::unique_lock<std::mutex> lock(mutex_);
-    // All slots done AND every helper out of runSlots: only then is it
-    // safe for a future dispatch to reset the claim counter.
-    done_.wait(lock, [&] {
-        return slotsDone_ == slotCount_ && busyRunners_ == 0;
-    });
-    fn_ = nullptr;
-    slotCount_ = 0;
-    if (error_) {
-        std::exception_ptr err = error_;
-        error_ = nullptr;
-        lock.unlock();
-        std::rethrow_exception(err);
-    }
-}
-
-void
-WorkerPool::parallelFor(u32 n, const std::function<void(u32)>& fn)
-{
-    if (n == 0)
-        return;
-    u32 slots = std::min(workers_, n);
-    if (slots <= 1) {
-        for (u32 i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
+    std::vector<std::exception_ptr> errors(n);
     std::atomic<u32> next{0};
-    dispatch(slots, [&](u32) {
-        for (;;) {
-            u32 i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
-            fn(i);
+    auto claim = [&] {
+        for (u32 i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-    });
+    };
+    {
+        // jthreads join when the block ends, also if starting one throws.
+        std::vector<std::jthread> helpers;
+        for (u32 t = 1; t < std::min(workers_, n); ++t)
+            helpers.emplace_back(claim);
+        claim(); // the calling thread is worker 0
+    }
+    for (const std::exception_ptr& e : errors)
+        if (e)
+            std::rethrow_exception(e);
 }
 
 } // namespace unimem

@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "kernels/registry.hh"
-#include "sim/sweep.hh"
 
 namespace unimem {
 
@@ -27,19 +26,22 @@ runUnified(const std::string& name, double scale, u64 capacity)
 namespace {
 
 /**
- * Run the candidate configurations through the sweep engine and keep
- * the fastest (earliest submitted wins ties, matching the serial
- * best-of loops these helpers replace).
+ * Simulate the candidate configurations in order and keep the fastest
+ * (the earliest wins ties). The exhibits call runFermiBest and
+ * runUnifiedAutotuned inside sweep jobs, so the candidates run serially
+ * on the job's thread.
  */
 SimResult
-bestOf(const std::vector<SweepJob>& jobs)
+bestOf(const std::string& name, double scale,
+       const std::vector<RunSpec>& specs)
 {
-    std::vector<SimResult> results = runSweep(jobs);
-    size_t best = 0;
-    for (size_t i = 1; i < results.size(); ++i)
-        if (results[i].cycles() < results[best].cycles())
-            best = i;
-    return std::move(results[best]);
+    SimResult best = simulateBenchmark(name, scale, specs.front());
+    for (size_t i = 1; i < specs.size(); ++i) {
+        SimResult r = simulateBenchmark(name, scale, specs[i]);
+        if (r.cycles() < best.cycles())
+            best = std::move(r);
+    }
+    return best;
 }
 
 } // namespace
@@ -47,31 +49,28 @@ bestOf(const std::vector<SweepJob>& jobs)
 SimResult
 runFermiBest(const std::string& name, double scale, u64 totalBytes)
 {
-    std::vector<SweepJob> jobs;
+    std::vector<RunSpec> specs;
     for (const MemoryPartition& part : fermiLikeOptions(totalBytes)) {
         RunSpec spec;
         spec.design = DesignKind::FermiLike;
         spec.partition = part;
         std::unique_ptr<KernelModel> kernel = createBenchmark(name, scale);
-        if (!resolveAllocation(kernel->params(), spec).launch.feasible)
-            continue;
-        jobs.push_back(makeSweepJob(name + "/fermi/" + part.str(), name,
-                                    scale, spec));
+        if (resolveAllocation(kernel->params(), spec).launch.feasible)
+            specs.push_back(spec);
     }
-    if (jobs.empty())
+    if (specs.empty())
         fatal("runFermiBest: no feasible Fermi-like option for %s",
               name.c_str());
-    return bestOf(jobs);
+    return bestOf(name, scale, specs);
 }
 
 SimResult
 runUnifiedAutotuned(const std::string& name, double scale, u64 capacity)
 {
-    // Resolve allocations serially (cheap) and keep the first thread
-    // limit reaching each distinct occupancy; duplicate occupancies
-    // simulate identically, so dropping them preserves the result of
-    // the serial best-of loop while the pool runs the distinct points.
-    std::vector<SweepJob> jobs;
+    // Resolve allocations first (cheap) and keep the first thread limit
+    // reaching each distinct occupancy; duplicate occupancies simulate
+    // identically, so dropping them preserves the best-of result.
+    std::vector<RunSpec> specs;
     u32 lastThreads = 0;
     for (u32 limit = 256; limit <= kMaxThreadsPerSm; limit += 256) {
         RunSpec spec;
@@ -82,17 +81,15 @@ runUnifiedAutotuned(const std::string& name, double scale, u64 capacity)
         AllocationDecision d = resolveAllocation(kernel->params(), spec);
         if (!d.launch.feasible)
             continue;
-        if (!jobs.empty() && d.launch.threads == lastThreads)
+        if (!specs.empty() && d.launch.threads == lastThreads)
             continue;
         lastThreads = d.launch.threads;
-        jobs.push_back(makeSweepJob(
-            name + "/autotune/" + std::to_string(limit), name, scale,
-            spec));
+        specs.push_back(spec);
     }
-    if (jobs.empty())
+    if (specs.empty())
         fatal("runUnifiedAutotuned: %s infeasible at %llu bytes",
               name.c_str(), static_cast<unsigned long long>(capacity));
-    return bestOf(jobs);
+    return bestOf(name, scale, specs);
 }
 
 double

@@ -1,12 +1,9 @@
 #include "sim/sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <exception>
+#include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "common/log.hh"
 #include "common/worker_pool.hh"
@@ -22,23 +19,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** Set while the current thread is executing a sweep job. */
-thread_local bool tlInSweepWorker = false;
-
-struct JobOutcome
-{
-    SimResult result;
-    std::exception_ptr error;
-};
-
-SimResult
-executeJob(const SweepJob& job)
-{
-    if (job.run)
-        return job.run();
-    return simulateBenchmark(job.benchmark, job.scale, job.spec);
 }
 
 } // namespace
@@ -60,9 +40,7 @@ SweepStats::utilization() const
 {
     if (workers == 0 || wallSeconds <= 0.0)
         return 0.0;
-    double busy = 0.0;
-    for (double s : workerBusySeconds)
-        busy += s;
+    double busy = std::accumulate(jobSeconds.begin(), jobSeconds.end(), 0.0);
     return busy / (static_cast<double>(workers) * wallSeconds);
 }
 
@@ -84,127 +62,44 @@ SweepStats::summary() const
     return s;
 }
 
-SweepRunner::SweepRunner(u32 workers)
-    : workers_(resolveWorkerCount(workers))
-{
-}
-
-SweepRunner::~SweepRunner() = default;
-
-u32
-SweepRunner::resolveWorkerCount(u32 requested)
-{
-    if (requested != 0)
-        return requested;
-    if (const char* env = std::getenv("UNIMEM_JOBS")) {
-        long n = std::atol(env);
-        if (n > 0)
-            return static_cast<u32>(n);
-        warn("ignoring invalid UNIMEM_JOBS='%s'", env);
-    }
-    u32 hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-bool
-SweepRunner::inSweepWorker()
-{
-    return tlInSweepWorker;
-}
-
-std::vector<SimResult>
-SweepRunner::run(const std::vector<SweepJob>& jobs)
-{
-    stats_ = SweepStats{};
-    stats_.jobCount = jobs.size();
-    stats_.jobSeconds.assign(jobs.size(), 0.0);
-    stats_.jobCycles.assign(jobs.size(), 0);
-
-    // Nested sweeps run serially on the calling worker so pools never
-    // multiply; tiny batches skip thread startup entirely.
-    u32 workers = workers_;
-    if (tlInSweepWorker || jobs.size() <= 1)
-        workers = 1;
-    workers = std::min<u32>(
-        workers, static_cast<u32>(std::max<size_t>(jobs.size(), 1)));
-    stats_.workers = workers;
-    stats_.workerBusySeconds.assign(workers, 0.0);
-
-    std::vector<JobOutcome> outcomes(jobs.size());
-    Clock::time_point sweepStart = Clock::now();
-    u64 memoHits0 = resultCache().hits();
-    u64 memoMisses0 = resultCache().misses();
-
-    // Each worker claims the next unclaimed index and writes the
-    // outcome into that index's slot: completion order never affects
-    // the returned order, which keeps parallel output byte-identical
-    // to the serial path.
-    std::atomic<size_t> next{0};
-    auto workerLoop = [&](u32 workerId) {
-        bool wasInWorker = tlInSweepWorker;
-        tlInSweepWorker = true;
-        Clock::time_point busyStart = Clock::now();
-        for (;;) {
-            size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
-                break;
-            Clock::time_point jobStart = Clock::now();
-            try {
-                outcomes[i].result = executeJob(jobs[i]);
-                stats_.jobCycles[i] = outcomes[i].result.cycles();
-            } catch (...) {
-                outcomes[i].error = std::current_exception();
-            }
-            stats_.jobSeconds[i] = secondsSince(jobStart);
-        }
-        stats_.workerBusySeconds[workerId] = secondsSince(busyStart);
-        tlInSweepWorker = wasInWorker;
-    };
-
-    if (workers <= 1) {
-        workerLoop(0);
-    } else {
-        // Shared fork-join pool (common/worker_pool.hh): one slot per
-        // worker, each slot running the dynamic claim loop above. The
-        // pool is kept across run() calls so repeated sweeps reuse the
-        // parked threads.
-        if (pool_ == nullptr || pool_->workers() < workers)
-            pool_ = std::make_unique<WorkerPool>(workers);
-        pool_->dispatch(workers, workerLoop);
-    }
-    stats_.wallSeconds = secondsSince(sweepStart);
-    stats_.memoHits = resultCache().hits() - memoHits0;
-    stats_.memoMisses = resultCache().misses() - memoMisses0;
-
-    // Propagate the first failure in submission order - deterministic
-    // no matter which worker hit it first.
-    for (size_t i = 0; i < outcomes.size(); ++i) {
-        if (outcomes[i].error) {
-            try {
-                std::rethrow_exception(outcomes[i].error);
-            } catch (const std::exception& e) {
-                throw std::runtime_error(
-                    strprintf("sweep job %zu ('%s') failed: %s", i,
-                              jobs[i].label.c_str(), e.what()));
-            }
-        }
-    }
-
-    std::vector<SimResult> results;
-    results.reserve(outcomes.size());
-    for (JobOutcome& o : outcomes)
-        results.push_back(std::move(o.result));
-    return results;
-}
-
 std::vector<SimResult>
 runSweep(const std::vector<SweepJob>& jobs, u32 workers,
          SweepStats* stats)
 {
-    SweepRunner runner(workers);
-    std::vector<SimResult> results = runner.run(jobs);
+    const u32 n = static_cast<u32>(jobs.size());
+    WorkerPool pool(workers);
+    SweepStats s;
+    s.workers = std::min(pool.workers(), std::max(n, 1u));
+    s.jobCount = n;
+    s.jobSeconds.assign(n, 0.0);
+    const u64 memoHits0 = resultCache().hits();
+    const u64 memoMisses0 = resultCache().misses();
+    Clock::time_point start = Clock::now();
+
+    // Each job writes its own result and time slot, so completion order
+    // never affects the returned order; the pool rethrows the lowest
+    // failing index, which is the first failure in submission order.
+    std::vector<SimResult> results(n);
+    pool.dispatch(n, [&](u32 i) {
+        const SweepJob& job = jobs[i];
+        Clock::time_point jobStart = Clock::now();
+        try {
+            results[i] = job.run ? job.run()
+                                 : simulateBenchmark(job.benchmark,
+                                                     job.scale, job.spec);
+        } catch (const std::exception& e) {
+            throw std::runtime_error(
+                strprintf("sweep job %u ('%s') failed: %s", i,
+                          job.label.c_str(), e.what()));
+        }
+        s.jobSeconds[i] = secondsSince(jobStart);
+    });
+
+    s.wallSeconds = secondsSince(start);
+    s.memoHits = resultCache().hits() - memoHits0;
+    s.memoMisses = resultCache().misses() - memoMisses0;
     if (stats)
-        *stats = runner.stats();
+        *stats = std::move(s);
     return results;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Parallel sweep engine: run many independent simulations concurrently
- * on a worker pool and return the results in submission order.
+ * Parallel sweep engine: run many independent simulations side by side
+ * on a WorkerPool and return the results in submission order.
  *
  * Every figure/table harness replays dozens of (benchmark, RunSpec)
  * points; each point is pure (seeded RNG in, SimResult out), so the
@@ -10,30 +10,16 @@
  * result into a slot addressed by submission index, so output is
  * byte-identical to the serial path regardless of worker count or
  * completion order.
- *
- * Worker count resolution (first match wins):
- *   1. explicit count passed to the constructor / runSweep()
- *   2. the UNIMEM_JOBS environment variable
- *   3. std::thread::hardware_concurrency()
- *
- * Nested sweeps (a job that itself calls runSweep, e.g. runFermiBest
- * inside a fig10 job) execute serially on the calling worker instead of
- * spawning a second pool, so worker counts never multiply.
  */
 
 #ifndef UNIMEM_SIM_SWEEP_HH
 #define UNIMEM_SIM_SWEEP_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
-
-namespace unimem {
-class WorkerPool;
-}
 
 namespace unimem {
 
@@ -67,7 +53,7 @@ SweepJob makeSweepJob(std::string label, std::string benchmark,
 /** Observability record of one sweep execution. */
 struct SweepStats
 {
-    /** Workers the pool actually used. */
+    /** Workers the sweep actually used. */
     u32 workers = 0;
 
     /** Jobs submitted. */
@@ -79,19 +65,13 @@ struct SweepStats
     /** Per-job wall time (seconds), in submission order. */
     std::vector<double> jobSeconds;
 
-    /** Per-job simulated cycles, in submission order (0 on failure). */
-    std::vector<u64> jobCycles;
-
-    /** Busy time per worker (seconds). */
-    std::vector<double> workerBusySeconds;
-
     /** Result-cache hits during this run (duplicate points memoized). */
     u64 memoHits = 0;
 
     /** Result-cache misses during this run (points actually simulated). */
     u64 memoMisses = 0;
 
-    /** Sum of worker busy time / (workers * wall); 0 when empty. */
+    /** Summed job time / (workers * wall); 0 when empty. */
     double utilization() const;
 
     /** One-line human-readable summary. */
@@ -99,50 +79,12 @@ struct SweepStats
 };
 
 /**
- * Thread-pool sweep runner. Construct once, run one or more job
- * batches; stats() describes the most recent run() call.
+ * Execute @p jobs on a WorkerPool of @p workers (0: every hardware
+ * thread) and return their results in submission order. If any job
+ * throws, the first failing job in submission order is rethrown, named
+ * by its label, once every other job ran. @p stats, when given, is
+ * filled only on success.
  */
-class SweepRunner
-{
-  public:
-    /** @param workers worker count; 0 resolves via resolveWorkerCount */
-    explicit SweepRunner(u32 workers = 0);
-
-    /** Worker count this runner will use. */
-    u32 workers() const { return workers_; }
-
-    /**
-     * Execute @p jobs and return their results in submission order.
-     * If any job throws, the first failing job (by submission order) has
-     * its exception rethrown after all workers drain; results of other
-     * jobs are discarded.
-     */
-    std::vector<SimResult> run(const std::vector<SweepJob>& jobs);
-
-    /** Stats of the most recent run(). */
-    const SweepStats& stats() const { return stats_; }
-
-    /**
-     * Resolve a worker count: @p requested if nonzero, else the
-     * UNIMEM_JOBS environment variable, else hardware_concurrency
-     * (minimum 1).
-     */
-    static u32 resolveWorkerCount(u32 requested = 0);
-
-    /** True while the calling thread is executing a sweep job. */
-    static bool inSweepWorker();
-
-    ~SweepRunner();
-
-  private:
-    u32 workers_;
-    SweepStats stats_;
-
-    /** Lazily created, reused across run() calls. */
-    std::unique_ptr<WorkerPool> pool_;
-};
-
-/** One-shot helper: run @p jobs on a fresh SweepRunner. */
 std::vector<SimResult> runSweep(const std::vector<SweepJob>& jobs,
                                 u32 workers = 0,
                                 SweepStats* stats = nullptr);

@@ -137,8 +137,6 @@ class ChipModel
     /** Run every SM's grid share to completion. */
     const ChipStats& run();
 
-    const ChipStats& stats() const { return stats_; }
-
   private:
     void weave();
 

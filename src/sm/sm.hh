@@ -119,18 +119,6 @@ class SmModel
             lastCompletion_ = c;
     }
 
-    /**
-     * True when advance() returned before its limit because an
-     * unresolved deferred completion fences further scheduling; the
-     * chip must weave before calling advance() again.
-     */
-    bool
-    stalledOnWeave(Cycle limit) const
-    {
-        return queue_ != nullptr && residentWarps_ > 0 && now_ < limit &&
-               now_ >= queue_->stallBound();
-    }
-
     /** One scheduler decision (order-trace tests and debugging). */
     struct IssueRecord
     {

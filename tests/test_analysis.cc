@@ -18,10 +18,10 @@
 #include "analysis/lint.hh"
 #include "analysis/liveness.hh"
 #include "arch/trace_io.hh"
+#include "common/worker_pool.hh"
 #include "kernels/registry.hh"
 #include "kernels/step_program.hh"
 #include "kernels/workloads.hh"
-#include "sim/sweep.hh"
 
 namespace unimem {
 namespace {
@@ -521,24 +521,13 @@ TEST(LintSweep, ShippedMetricsLandInPlausibleBands)
 // ---- determinism across worker counts -----------------------------------
 
 std::string
-lintAllViaSweep(u32 workers)
+lintAllOnPool(u32 workers)
 {
-    std::vector<std::string> names;
-    for (const BenchmarkInfo& info : allBenchmarks())
-        names.push_back(info.name);
-    std::vector<LintReport> reports(names.size());
-    std::vector<SweepJob> jobs;
-    for (size_t i = 0; i < names.size(); ++i) {
-        SweepJob j;
-        j.label = "lint " + names[i];
-        j.run = [&reports, &names, i]() {
-            auto k = createBenchmark(names[i], 0.5);
-            reports[i] = lintKernel(*k);
-            return SimResult{};
-        };
-        jobs.push_back(std::move(j));
-    }
-    runSweep(jobs, workers);
+    const std::vector<BenchmarkInfo>& all = allBenchmarks();
+    std::vector<LintReport> reports(all.size());
+    WorkerPool(workers).dispatch(static_cast<u32>(all.size()), [&](u32 i) {
+        reports[i] = lintKernel(*createBenchmark(all[i].name, 0.5));
+    });
     std::string out;
     for (const LintReport& r : reports)
         out += r.str();
@@ -547,10 +536,10 @@ lintAllViaSweep(u32 workers)
 
 TEST(LintSweep, OutputIdenticalAcrossWorkerCounts)
 {
-    std::string serial = lintAllViaSweep(1);
+    std::string serial = lintAllOnPool(1);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, lintAllViaSweep(2));
-    EXPECT_EQ(serial, lintAllViaSweep(8));
+    EXPECT_EQ(serial, lintAllOnPool(2));
+    EXPECT_EQ(serial, lintAllOnPool(8));
 }
 
 // ---- liveness unit ------------------------------------------------------

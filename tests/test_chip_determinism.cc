@@ -146,8 +146,7 @@ std::vector<ChipStats>
 runOnPool(const std::vector<GoldenRun>& runs, u32 workers)
 {
     std::vector<ChipStats> stats(runs.size());
-    WorkerPool pool(workers);
-    pool.parallelFor(static_cast<u32>(runs.size()), [&](u32 i) {
+    WorkerPool(workers).dispatch(static_cast<u32>(runs.size()), [&](u32 i) {
         const GoldenRun& r = runs[i];
         auto k = createBenchmark(r.kernel, r.scale);
         ChipConfig cfg;

@@ -1,11 +1,18 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG determinism, statistics
- * container, table formatting, and CLI parsing.
+ * container, table formatting, CLI parsing, and the fork-join worker
+ * pool.
  */
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +22,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/worker_pool.hh"
 
 namespace unimem {
 namespace {
@@ -206,6 +214,71 @@ TEST(Types, KbLiteral)
 {
     EXPECT_EQ(64_KB, 65536u);
     EXPECT_EQ(1_MB, 1048576u);
+}
+
+TEST(WorkerPool, EveryIndexRunsExactlyOnce)
+{
+    for (u32 workers : {1u, 2u, 4u, 8u}) {
+        for (u32 n : {0u, 1u, 3u, 64u}) {
+            std::vector<std::atomic<u32>> runs(n);
+            std::atomic<u32> stray{0};
+            WorkerPool(workers).dispatch(n, [&](u32 i) {
+                if (i < n)
+                    runs[i].fetch_add(1);
+                else
+                    stray.fetch_add(1);
+            });
+            EXPECT_EQ(stray.load(), 0u) << workers << " workers, n " << n;
+            for (u32 i = 0; i < n; ++i)
+                EXPECT_EQ(runs[i].load(), 1u)
+                    << "index " << i << " of " << n << " at " << workers
+                    << " workers";
+        }
+    }
+}
+
+TEST(WorkerPool, LowestFailingIndexIsRethrownAfterEveryIndexRan)
+{
+    for (u32 workers : {1u, 4u}) {
+        std::vector<std::atomic<u32>> ran(64);
+        try {
+            WorkerPool(workers).dispatch(64, [&](u32 i) {
+                ran[i].store(1);
+                // Index 9 fails last in wall time when helpers run.
+                if (i == 9) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(20));
+                    throw std::runtime_error("boom 9");
+                }
+                if (i == 41)
+                    throw std::runtime_error("boom 41");
+            });
+            ADD_FAILURE() << "expected dispatch to rethrow";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "boom 9") << workers << " workers";
+        }
+        for (u32 i = 0; i < 64; ++i)
+            EXPECT_EQ(ran[i].load(), 1u) << "index " << i << " at "
+                                         << workers << " workers";
+    }
+}
+
+TEST(WorkerPool, OneWorkerRunsOnTheCallingThread)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    u32 onCaller = 0;
+    WorkerPool(1).dispatch(16, [&](u32) {
+        onCaller += std::this_thread::get_id() == caller ? 1 : 0;
+    });
+    EXPECT_EQ(onCaller, 16u);
+}
+
+TEST(WorkerPool, ZeroMeansEveryHardwareThread)
+{
+    EXPECT_GE(WorkerPool(0).workers(), 1u);
+    EXPECT_EQ(WorkerPool(0).workers(),
+              std::max(std::thread::hardware_concurrency(), 1u));
+    EXPECT_EQ(WorkerPool(3).workers(), 3u);
 }
 
 } // namespace

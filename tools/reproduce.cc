@@ -1059,9 +1059,7 @@ extChipValidation(const ExhibitConfig& cfg, std::ostream& os)
     std::vector<Cycle> halfCycles(kNames);
     // Jobs [0, 2 kNames) are the chips, fair and half per workload, so
     // the long runs start first; the single SMs fill in behind them.
-    WorkerPool pool(
-        std::min(SweepRunner::resolveWorkerCount(cfg.jobs), 3 * kNames));
-    pool.parallelFor(3 * kNames, [&](u32 job) {
+    WorkerPool(cfg.jobs).dispatch(3 * kNames, [&](u32 job) {
         const u32 w = job < 2 * kNames ? job / 2 : job - 2 * kNames;
         auto k = createBenchmark(names[w], cfg.scale);
         SmRunConfig smCfg;

@@ -23,7 +23,7 @@ struct ExhibitConfig
     /** Workload scale; 0 selects the exhibit's default. */
     double scale = 0.0;
 
-    /** Sweep workers (0: UNIMEM_JOBS, else all hardware threads). */
+    /** Sweep workers (0: every hardware thread). */
     u32 jobs = 0;
 
     /** fig7 / fig9 ablation: false runs both designs without ORF/LRF. */

@@ -247,14 +247,7 @@ cmdChip(const CliArgs& args)
     cc.chipDramBytesPerCycle =
         args.getCountIn("chip-bw", sms * kDramBytesPerCycle, 1, kNoUpperBound);
     cc.quantum = args.getCountIn("quantum", 64, 1, kNoUpperBound);
-    cc.sm.design = spec.design == DesignKind::FermiLike
-                       ? DesignKind::Partitioned
-                       : spec.design;
-    cc.sm.partition = d.partition;
-    cc.sm.launch = d.launch;
-    cc.sm.rfHierarchy = spec.rfHierarchy;
-    cc.sm.conflictPenalties = spec.conflictPenalties;
-    cc.sm.cachePolicy = spec.cachePolicy;
+    cc.sm = smRunConfigFor(spec, d);
 
     ChipModel chip(cc, *k);
     const ChipStats& cs = chip.run();
@@ -381,8 +374,7 @@ commands()
              {scale,
               {"what", "capacity|cache|threads",
                "swept axis (default capacity)"},
-              {"jobs", "N",
-               "sweep workers (default: UNIMEM_JOBS or all cores)"}}),
+              {"jobs", "N", "sweep workers (default: all cores)"}}),
          cmdSweep},
         {"chip", "usage: unimem_cli chip <benchmark> [flags]",
          withSpecFlags(
@@ -403,7 +395,7 @@ commands()
           {"scale", "F", "workload scale (default: each exhibit's own)"},
           {"jobs", "N",
            "sweep workers, which also run ext_chip_validation's chips "
-           "(default: UNIMEM_JOBS or all cores)"},
+           "(default: all cores)"},
           {"no-rf-hierarchy", "",
            "fig7/fig9 ablation: both designs without the ORF/LRF"},
           {"sms", "N", "ext_chip_validation: SMs on the chip (default 8)"},

@@ -3,7 +3,7 @@
  * unimem-lint: the trace validator over the shipped kernel models.
  *
  * Runs lintKernel() (analysis/lint.hh) over every registry benchmark —
- * or a --kernel subset — in parallel on the sweep engine, prints a
+ * or a --kernel subset — in parallel on a WorkerPool, prints a
  * per-kernel metrics table plus every diagnostic, and exits nonzero
  * when any kernel has findings. This is the gate
  * scripts/check.sh and CI run so a kernel-model edit that violates its
@@ -23,8 +23,8 @@
 #include "common/cli.hh"
 #include "common/log.hh"
 #include "common/table.hh"
+#include "common/worker_pool.hh"
 #include "kernels/registry.hh"
-#include "sim/sweep.hh"
 
 using namespace unimem;
 
@@ -116,7 +116,7 @@ main(int argc, char** argv)
         argc, argv, usage,
         {{"kernel", "a,b,c", "lint only these benchmarks (default: all 26)"},
          {"scale", "F", "workload scale (default 0.5, as unimem_cli)"},
-         {"jobs", "N", "sweep workers (default: UNIMEM_JOBS or all cores)"},
+         {"jobs", "N", "worker threads (default: all cores)"},
          {"Werror", "", "treat warnings as errors"},
          {"max-instrs", "N",
           "trace-prefix bound per sampled warp (default 4096)"},
@@ -136,23 +136,12 @@ main(int argc, char** argv)
     opt.werror = args.getBool("Werror", false);
     opt.maxInstrsPerWarp = args.getCount("max-instrs", 4096);
 
-    // Each job writes its LintReport into its own submission slot, so
-    // the report vector — like every sweep table — is identical at any
-    // worker count.
+    // Each kernel writes its LintReport into its own slot, so the
+    // report vector is identical at any worker count.
     std::vector<LintReport> reports(names.size());
-    std::vector<SweepJob> sweep;
-    for (size_t i = 0; i < names.size(); ++i) {
-        SweepJob job;
-        job.label = "lint " + names[i];
-        job.run = [&reports, &names, &opt, scale, i]() {
-            auto k = createBenchmark(names[i], scale);
-            reports[i] = lintKernel(*k, opt);
-            return SimResult{};
-        };
-        sweep.push_back(std::move(job));
-    }
-    SweepStats stats;
-    runSweep(sweep, jobs, &stats);
+    WorkerPool(jobs).dispatch(static_cast<u32>(names.size()), [&](u32 i) {
+        reports[i] = lintKernel(*createBenchmark(names[i], scale), opt);
+    });
 
     u64 errors = 0, warnings = 0;
     for (const LintReport& r : reports) {
@@ -163,8 +152,7 @@ main(int argc, char** argv)
 
     std::ostringstream summary;
     summary << "lint: " << names.size() << " kernels, " << errors
-            << " errors, " << warnings << " warnings (" << stats.summary()
-            << ")\n";
+            << " errors, " << warnings << " warnings\n";
     if (args.getBool("json", false)) {
         printJson(std::cout, reports);
         std::cerr << summary.str();
